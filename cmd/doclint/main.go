@@ -48,6 +48,7 @@ var contractRequired = map[string]bool{
 	"internal/dram":        true,
 	"internal/eventq":      true,
 	"internal/faults":      true,
+	"internal/flight":      true,
 	"internal/icnt":        true,
 	"internal/mem":         true,
 	"internal/probe":       true,

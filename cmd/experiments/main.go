@@ -78,7 +78,7 @@ func main() {
 		progress   = flag.Bool("progress", false, "print a periodic progress line to stderr")
 		statsOut   = flag.String("stats-out", "", "write machine-readable per-run stats (JSON) to this file")
 		audit      = flag.Bool("audit", false, "run every simulation with invariant auditors enabled (changes memo keys; slower)")
-		debugAddr  = flag.String("debug-addr", "", "serve the sweep debug HTTP endpoint (live progress, expvar, pprof) on this address, e.g. localhost:6060")
+		debugAddr  = flag.String("debug-addr", "", "serve the sweep debug HTTP endpoint (live progress, metrics, pprof) on this address, e.g. localhost:6060")
 		quick      = flag.Bool("quick", false, "CI smoke mode: 2000 cycles and a two-benchmark subset unless overridden explicitly")
 		cacheDir   = flag.String("cache-dir", "", "persist simulation results in this directory, keyed by canonical config digest")
 		ckptDir    = flag.String("checkpoint-dir", "", "persist mid-run machine checkpoints in this directory; interrupted sweeps resume instead of restarting")

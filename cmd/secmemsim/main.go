@@ -20,6 +20,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"net/url"
 	"os"
 	"os/signal"
 	"runtime"
@@ -32,33 +33,10 @@ import (
 	"gpusecmem/internal/checkpoint"
 )
 
-func schemeConfig(scheme string, aesLatency, engines, metaKB, mshrs int, unified bool) (gpusecmem.Config, error) {
-	cfg, err := gpusecmem.ConfigForScheme(scheme)
-	if err != nil {
-		return cfg, err
-	}
-	if cfg.Secure.Encryption != gpusecmem.EncNone {
-		cfg.Secure.AESLatency = aesLatency
-		cfg.Secure.AESEngines = engines
-		if metaKB > 0 {
-			cfg.Secure.MetaCacheBytes = metaKB * 1024
-		}
-		cfg.Secure.MetaMSHRs = mshrs
-		cfg.Secure.Unified = unified
-	}
-	return cfg, nil
-}
-
 func main() {
 	var (
 		bench      = flag.String("bench", "fdtd2d", "benchmark name (Table IV)")
-		scheme     = flag.String("scheme", "ctr_mac_bmt", "baseline|ctr|ctr_bmt|ctr_mac_bmt|direct|direct_mac|direct_mac_mt")
 		cycles     = flag.Uint64("cycles", 60000, "simulated cycles")
-		aesLatency = flag.Int("aes-latency", 40, "AES latency in cycles")
-		engines    = flag.Int("aes-engines", 2, "AES engines per partition")
-		metaKB     = flag.Int("meta-kb", 0, "metadata cache KB per type (0 = scheme default)")
-		mshrs      = flag.Int("mshrs", 64, "MSHRs per metadata cache")
-		unified    = flag.Bool("unified", false, "use a unified metadata cache")
 		faultSpec  = flag.String("faults", "", "fault-injection plan, e.g. seed=1,rate=1e-4,sites=data,meta,drop (empty = none)")
 		audit      = flag.Bool("audit", false, "run per-cycle invariant auditors")
 		watchdog   = flag.Uint64("watchdog", 0, "override watchdog stall threshold in cycles (0 = config default)")
@@ -74,6 +52,15 @@ func main() {
 		ckptDir    = flag.String("checkpoint-dir", "", "persist machine checkpoints in this directory; a rerun resumes from the newest valid one instead of restarting")
 		ckptEvery  = flag.Uint64("checkpoint-every", 5000, "checkpoint interval in cycles (with -checkpoint-dir)")
 	)
+	// The scheme and its knobs are read back through flag.Visit below,
+	// so these defaults are never used: an unset knob keeps the
+	// scheme's own value.
+	flag.String("scheme", "ctr_mac_bmt", strings.Join(gpusecmem.SchemeNames(), "|"))
+	flag.Int("aes-latency", 0, "AES latency in cycles (default: the scheme's)")
+	flag.Int("aes-engines", 0, "AES engines per partition (default: the scheme's)")
+	flag.Int("meta-kb", 0, "metadata cache KB per type (default: the scheme's)")
+	flag.Int("mshrs", 0, "MSHRs per metadata cache (default: the scheme's)")
+	flag.Bool("unified", false, "use a unified metadata cache (default: the scheme's)")
 	flag.Parse()
 
 	if *list {
@@ -88,12 +75,15 @@ func main() {
 		return
 	}
 
-	cfg, err := schemeConfig(*scheme, *aesLatency, *engines, *metaKB, *mshrs, *unified)
+	// The knob flags share their names with secmemd's /api/run query
+	// keys, so both tools resolve a run through one parser.
+	knobs := url.Values{}
+	flag.Visit(func(f *flag.Flag) { knobs.Set(f.Name, f.Value.String()) })
+	cfg, scheme, err := gpusecmem.ConfigForKnobs(knobs, *cycles)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	cfg.MaxCycles = *cycles
 	cfg.Audit = *audit
 	cfg.Shards = *shards
 	if *watchdog > 0 {
@@ -201,7 +191,7 @@ func main() {
 	}
 
 	fmt.Printf("benchmark        %s\n", *bench)
-	fmt.Printf("scheme           %s\n", *scheme)
+	fmt.Printf("scheme           %s\n", scheme)
 	fmt.Printf("cycles           %d\n", res.Cycles)
 	fmt.Printf("IPC              %.2f (baseline %.2f, normalized %.3f)\n",
 		res.IPC(), bres.IPC(), res.NormalizedIPC(bres))

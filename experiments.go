@@ -3,7 +3,6 @@ package gpusecmem
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math"
 	"runtime/debug"
@@ -14,6 +13,7 @@ import (
 	"gpusecmem/internal/area"
 	"gpusecmem/internal/cache"
 	"gpusecmem/internal/faults"
+	"gpusecmem/internal/flight"
 	"gpusecmem/internal/geometry"
 	"gpusecmem/internal/probe"
 	"gpusecmem/internal/report"
@@ -109,20 +109,13 @@ func (e *RunError) ConfigJSON() string {
 	return string(b)
 }
 
-// flight is one memoized simulation, possibly still in progress.
-// Concurrent requests for the same key block on done instead of
-// duplicating the run (singleflight semantics).
-type flight struct {
+// memoEntry is one completed simulation (or memoized failure) held by
+// a Context's memo.
+type memoEntry struct {
 	seq  int // start order, for stable stats reporting
-	done chan struct{}
 	res  *Result
 	err  error
 	wall time.Duration
-	// cancelled marks a flight whose owning request's context was
-	// cancelled mid-run. The flight is removed from the memo map before
-	// done closes, so waiters retry instead of inheriting the
-	// cancellation — a cancelled run never poisons the cache.
-	cancelled bool
 }
 
 // CacheStats counts memo-cache behaviour across a Context's lifetime.
@@ -169,10 +162,10 @@ func (s RunStat) CyclesPerSec() float64 {
 // Context memoizes simulation runs across experiments: many figures
 // share configurations (e.g. the secureMem design appears in Figures
 // 6, 7, 8, 12, 16 and 17), so each (config, benchmark) pair simulates
-// once. Memoization uses singleflight semantics — concurrent requests
-// for the same key block on the one in-flight simulation — so a worker
-// pool can drive the same Context from many goroutines without
-// duplicated or racing runs.
+// once. The memo holds completed runs; concurrent requests for a key
+// still running coalesce onto its one simulation through a
+// flight.Group, so a worker pool can drive the same Context from many
+// goroutines without duplicated or racing runs.
 type Context struct {
 	opts Options
 	// simulate is the simulation entry point; tests substitute it to
@@ -185,8 +178,11 @@ type Context struct {
 	// disk is the optional persistent cache layered under the memo.
 	disk ResultCache
 
+	flights flight.Group[*memoEntry]
+
 	mu       sync.Mutex
-	cache    map[string]*flight
+	memo     map[string]*memoEntry
+	started  int // runs led so far; the next one's memoEntry.seq
 	hits     uint64
 	misses   uint64
 	diskHits uint64
@@ -204,7 +200,7 @@ func NewContext(opts Options) *Context {
 		opts:     opts.withDefaults(),
 		simulate: SimulateContext,
 		base:     context.Background(),
-		cache:    make(map[string]*flight),
+		memo:     make(map[string]*memoEntry),
 	}
 }
 
@@ -265,9 +261,10 @@ func planPlaceholder(benchmark string) *Result {
 // Cancellation follows the request, not the cache: when ctx is
 // cancelled RunE returns (nil, ctx.Err()) — whether it was waiting on
 // another request's in-flight run or owned the run itself — and a
-// cancelled run is removed from the memo before its waiters wake, so
-// a later request re-simulates cleanly. A persistent ResultCache, when
-// attached, is consulted on memo misses and fed every fresh result.
+// cancelled run is never memoized: its live waiters lead a fresh
+// attempt (internal/flight) and a later request re-simulates cleanly.
+// A persistent ResultCache, when attached, is consulted on memo misses
+// and fed every fresh result.
 func (c *Context) RunE(ctx context.Context, cfg Config, benchmark string) (*Result, error) {
 	cfg.MaxCycles = c.opts.Cycles
 	if c.opts.Audit {
@@ -278,77 +275,80 @@ func (c *Context) RunE(ctx context.Context, cfg Config, benchmark string) (*Resu
 	}
 	key := RunKey(cfg, benchmark)
 
-	for {
-		c.mu.Lock()
-		if c.planning {
-			if !c.planSeen[key] {
-				c.planSeen[key] = true
-				c.plan = append(c.plan, RunSpec{Cfg: cfg, Benchmark: benchmark, Key: key})
-			}
-			c.mu.Unlock()
-			return planPlaceholder(benchmark), nil
+	c.mu.Lock()
+	if c.planning {
+		if !c.planSeen[key] {
+			c.planSeen[key] = true
+			c.plan = append(c.plan, RunSpec{Cfg: cfg, Benchmark: benchmark, Key: key})
 		}
-		if f, ok := c.cache[key]; ok {
-			c.hits++
-			c.mu.Unlock()
-			select {
-			case <-f.done:
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-			if f.cancelled {
-				// The owning request was cancelled and the flight
-				// un-memoized; this requester is still live, so retry.
-				continue
-			}
-			return f.res, f.err
-		}
-		f := &flight{seq: len(c.cache), done: make(chan struct{})}
-		c.cache[key] = f
-		c.misses++
 		c.mu.Unlock()
-		return c.runFlight(ctx, f, key, cfg, benchmark)
+		return planPlaceholder(benchmark), nil
 	}
-}
+	if e, ok := c.memo[key]; ok {
+		c.hits++
+		c.mu.Unlock()
+		return e.res, e.err
+	}
+	c.mu.Unlock()
 
-// runFlight executes one owned memo entry: persistent-cache lookup,
-// simulation, cancellation un-memoization, and write-back.
-func (c *Context) runFlight(ctx context.Context, f *flight, key string, cfg Config, benchmark string) (*Result, error) {
-	start := time.Now()
-	if c.disk != nil {
-		if res, ok := c.disk.Get(key); ok {
-			c.mu.Lock()
-			c.diskHits++
-			c.mu.Unlock()
-			f.wall = time.Since(start)
-			f.res = res
-			close(f.done)
-			return res, nil
-		}
-	}
-	res, err, stack := safeSimulate(ctx, c.simulate, cfg, benchmark)
-	f.wall = time.Since(start)
-	if err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
-		// A cancelled run is the requester's fate, not the key's:
-		// remove the flight so the next request simulates afresh, and
-		// mark it so current waiters retry instead of inheriting the
-		// cancellation.
+	e, shared, err := c.flights.Do(ctx, key, func() (*memoEntry, error) {
+		return c.lead(ctx, key, cfg, benchmark)
+	})
+	if shared {
 		c.mu.Lock()
-		delete(c.cache, key)
+		c.hits++
 		c.mu.Unlock()
-		f.cancelled = true
-		f.err = err
-		close(f.done)
+	}
+	if err != nil {
 		return nil, err
 	}
-	f.res = res
-	if err != nil {
-		f.err = &RunError{Benchmark: benchmark, Cfg: cfg, Err: err, Stack: stack}
-	} else if c.disk != nil && res != nil {
-		c.disk.Put(key, res)
+	return e.res, e.err
+}
+
+// lead runs one key's flight: memo re-check, persistent-cache lookup,
+// simulation, and write-back. A cancelled simulation is returned as
+// the bare context error and never memoized, so the flight re-leads
+// its live waiters and a later request simulates afresh.
+func (c *Context) lead(ctx context.Context, key string, cfg Config, benchmark string) (*memoEntry, error) {
+	c.mu.Lock()
+	// A flight that finished between the caller's memo miss and Do has
+	// already memoized its result.
+	if e, ok := c.memo[key]; ok {
+		c.hits++
+		c.mu.Unlock()
+		return e, nil
 	}
-	close(f.done)
-	return f.res, f.err
+	e := &memoEntry{seq: c.started}
+	c.started++
+	c.misses++
+	c.mu.Unlock()
+
+	start := time.Now()
+	diskHit := false
+	if c.disk != nil {
+		e.res, diskHit = c.disk.Get(key)
+	}
+	if !diskHit {
+		res, err, stack := safeSimulate(ctx, c.simulate, cfg, benchmark)
+		if flight.Cancelled(err) {
+			return nil, err
+		}
+		e.res = res
+		if err != nil {
+			e.err = &RunError{Benchmark: benchmark, Cfg: cfg, Err: err, Stack: stack}
+		} else if c.disk != nil && res != nil {
+			c.disk.Put(key, res)
+		}
+	}
+	e.wall = time.Since(start)
+
+	c.mu.Lock()
+	if diskHit {
+		c.diskHits++
+	}
+	c.memo[key] = e
+	c.mu.Unlock()
+	return e, nil
 }
 
 // safeSimulate converts a simulator panic into an error plus the
@@ -400,11 +400,12 @@ func (c *Context) PlanRuns(exps []Experiment) []RunSpec {
 	return shadow.plan
 }
 
-// CachedRuns reports how many distinct runs have been started.
+// CachedRuns reports how many distinct runs have completed (failed
+// runs included; cancelled ones are not memoized).
 func (c *Context) CachedRuns() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.cache)
+	return len(c.memo)
 }
 
 // CacheStats reports memo hit/miss counts so far.
@@ -415,31 +416,24 @@ func (c *Context) CacheStats() CacheStats {
 }
 
 // RunStats returns per-run observability records for every completed
-// simulation, in start order. In-flight runs are skipped (their
-// fields are not yet safe to read).
+// simulation, in start order. In-flight runs are not yet memoized and
+// so are not reported.
 func (c *Context) RunStats() []RunStat {
 	c.mu.Lock()
-	flights := make([]*flight, 0, len(c.cache))
-	keys := make(map[*flight]string, len(c.cache))
-	for k, f := range c.cache {
-		flights = append(flights, f)
-		keys[f] = k
+	defer c.mu.Unlock()
+	keys := make([]string, 0, len(c.memo))
+	for k := range c.memo {
+		keys = append(keys, k)
 	}
-	c.mu.Unlock()
-
-	sort.Slice(flights, func(i, j int) bool { return flights[i].seq < flights[j].seq })
-	out := make([]RunStat, 0, len(flights))
-	for _, f := range flights {
-		select {
-		case <-f.done:
-		default:
-			continue
-		}
-		s := RunStat{Key: keys[f], Wall: f.wall, Err: f.err}
-		if f.res != nil {
-			s.Benchmark = f.res.Benchmark
-			s.Cycles = f.res.Cycles
-		} else if re, ok := f.err.(*RunError); ok {
+	sort.Slice(keys, func(i, j int) bool { return c.memo[keys[i]].seq < c.memo[keys[j]].seq })
+	out := make([]RunStat, 0, len(keys))
+	for _, k := range keys {
+		e := c.memo[k]
+		s := RunStat{Key: k, Wall: e.wall, Err: e.err}
+		if e.res != nil {
+			s.Benchmark = e.res.Benchmark
+			s.Cycles = e.res.Cycles
+		} else if re, ok := e.err.(*RunError); ok {
 			s.Benchmark = re.Benchmark
 		}
 		out = append(out, s)

@@ -16,7 +16,7 @@
 //	GET /api/cluster               membership, health, and key placement
 //	GET /healthz                   liveness + counters
 //	GET /metrics                   Prometheus text-format exposition
-//	GET /progress, /debug/...      the sweep debug layer (expvar, pprof)
+//	GET /progress, /debug/...      the sweep debug layer (progress, runtime expvars, pprof)
 //
 // Admission is bounded: at most Workers simulations run concurrently
 // and at most QueueDepth more wait; beyond that requests are rejected
@@ -26,14 +26,14 @@
 // memory, disk, peer — are served before taking a slot, so cached
 // lookups scale with the HTTP stack rather than the worker pool, and
 // concurrent identical misses coalesce onto one in-flight simulation
-// via a server-scope singleflight (flightGroup).
+// via a server-scope singleflight (internal/flight).
 //
 // Cluster mode (Config.Cluster, DESIGN.md §16) chains one more tier
 // and one forwarding rule into /api/run: a key missing from every
 // local tier is fetched raw from its rendezvous owner's store, and if
 // the owner has not computed it either, the whole request is proxied
 // to the owner (loop-guarded by cluster.HopHeader) so the owner's
-// flightGroup coalesces identical work cluster-wide. A down owner
+// flight group coalesces identical work cluster-wide. A down owner
 // fails open to local simulation, whose result is write-through
 // replicated to the owner once it returns.
 //
@@ -43,9 +43,8 @@
 // simulator's cancellation context, and appears on the response
 // header, in every log line (via telemetry.ContextHandler), and in
 // every JSON error body. All counters live in the process-wide
-// telemetry registry; /healthz, the gpusecmem_daemon expvar, and
-// /metrics are views over the same instruments (see DESIGN.md
-// "Serving telemetry").
+// telemetry registry; /healthz and /metrics are views over the same
+// instruments (see DESIGN.md "Serving telemetry").
 //
 // Concurrency and aliasing contract: a Server's handlers run on
 // arbitrarily many goroutines; all cross-request state is either
@@ -61,7 +60,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"log/slog"
 	"math"
@@ -70,12 +68,12 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"gpusecmem"
 	"gpusecmem/internal/checkpoint"
 	"gpusecmem/internal/cluster"
+	"gpusecmem/internal/flight"
 	"gpusecmem/internal/report"
 	"gpusecmem/internal/resultcache"
 	"gpusecmem/internal/runner"
@@ -159,8 +157,7 @@ func (c Config) withDefaults() Config {
 // metricsSnapshot is the JSON view served by /healthz — a read-out of
 // the telemetry registry's instruments, kept in the daemon's
 // historical field names. It holds no state of its own: the registry
-// is the single source, so this view, the expvar view, and /metrics
-// cannot disagree.
+// is the single source, so this view and /metrics cannot disagree.
 type metricsSnapshot struct {
 	Requests      uint64  `json:"requests"`
 	Rejected      uint64  `json:"rejected"`
@@ -219,9 +216,9 @@ func observeRun(wall time.Duration) {
 type Server struct {
 	cfg       Config
 	mem       *memCache
-	flights   *flightGroup  // coalesces identical in-flight simulations
-	admission chan struct{} // Workers+QueueDepth slots: full => 429
-	workers   chan struct{} // Workers slots: queued requests block here
+	flights   flight.Group[served] // coalesces identical in-flight simulations
+	admission chan struct{}        // Workers+QueueDepth slots: full => 429
+	workers   chan struct{}        // Workers slots: queued requests block here
 	start     time.Time
 	mux       *http.ServeMux
 	handler   http.Handler // mux wrapped in the telemetry middleware
@@ -231,35 +228,28 @@ type Server struct {
 	cancel context.CancelFunc
 }
 
-var publishOnce sync.Once
+// served is one flight's outcome: the result and the tier that
+// produced it.
+type served struct {
+	res    *gpusecmem.Result
+	source string
+}
 
 // New builds a Server. The daemon's counters live in the process-wide
-// telemetry registry (telemetry.Default); the gpusecmem_daemon expvar
-// republishes a snapshot of that registry so the existing /debug/vars
-// route keeps exposing them.
+// telemetry registry (telemetry.Default), which /metrics and /healthz
+// render.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	initInstruments()
 	s := &Server{
 		cfg:       cfg,
 		mem:       newMemCache(cfg.MemCacheEntries),
-		flights:   newFlightGroup(),
 		admission: make(chan struct{}, cfg.Workers+cfg.QueueDepth),
 		workers:   make(chan struct{}, cfg.Workers),
 		start:     time.Now(),
 		log:       cfg.Logger,
 	}
 	s.base, s.cancel = context.WithCancel(context.Background())
-
-	// The registry replaces the old per-Server counter struct, so the
-	// expvar needs no handle on the newest Server (the activeServer
-	// workaround this code used to carry): per-instance state is wired
-	// in as replace-on-reregister Func views instead.
-	publishOnce.Do(func() {
-		expvar.Publish("gpusecmem_daemon", expvar.Func(func() any {
-			return telemetry.Default.Snapshot()
-		}))
-	})
 	s.registerServerViews()
 
 	mux := http.NewServeMux()
@@ -271,8 +261,8 @@ func New(cfg Config) *Server {
 	mux.HandleFunc("GET /api/cluster", s.handleCluster)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.Handle("GET /metrics", telemetry.Default.Handler())
-	// The existing sweep debug layer: /progress, /debug/vars (which
-	// now includes gpusecmem_daemon), /debug/pprof/*.
+	// The existing sweep debug layer: /progress, /debug/vars (the Go
+	// runtime's memstats and cmdline), /debug/pprof/*.
 	dbg := runner.NewDebugHandler()
 	mux.Handle("/progress", dbg)
 	mux.Handle("/debug/", dbg)
@@ -457,58 +447,27 @@ type runResponse struct {
 	Result    json.RawMessage `json:"result"`
 }
 
-// parseRunConfig resolves the /api/run query into a validated Config.
-// It accepts the same knobs as the secmemsim CLI.
+// parseRunConfig resolves the /api/run query into a validated Config:
+// the scheme knobs go through gpusecmem.ConfigForKnobs, as secmemsim's
+// flags do; bench, cycles and audit are the daemon's own keys.
 func parseRunConfig(q url.Values) (cfg gpusecmem.Config, scheme, bench string, err error) {
-	get := func(key, def string) string {
-		if v := q.Get(key); v != "" {
-			return v
-		}
-		return def
+	bench = q.Get("bench")
+	if bench == "" {
+		bench = "fdtd2d"
 	}
-	scheme = get("scheme", "ctr_mac_bmt")
-	bench = get("bench", "fdtd2d")
-	cfg, err = gpusecmem.ConfigForScheme(scheme)
+	cycles := q.Get("cycles")
+	if cycles == "" {
+		cycles = "24000"
+	}
+	n, err := strconv.ParseUint(cycles, 10, 64)
 	if err != nil {
-		return cfg, scheme, bench, err
+		return cfg, q.Get("scheme"), bench, fmt.Errorf("bad cycles: %v", err)
 	}
-	intArg := func(key string, def int) int {
-		if err != nil {
-			return def
-		}
-		v := get(key, "")
-		if v == "" {
-			return def
-		}
-		n, perr := strconv.Atoi(v)
-		if perr != nil {
-			err = fmt.Errorf("bad %s: %v", key, perr)
-			return def
-		}
-		return n
-	}
-	cycles := get("cycles", "24000")
-	if cfg.MaxCycles, err = strconv.ParseUint(cycles, 10, 64); err != nil {
-		return cfg, scheme, bench, fmt.Errorf("bad cycles: %v", err)
-	}
-	if cfg.Secure.Encryption != gpusecmem.EncNone {
-		cfg.Secure.AESLatency = intArg("aes-latency", cfg.Secure.AESLatency)
-		cfg.Secure.AESEngines = intArg("aes-engines", cfg.Secure.AESEngines)
-		if kb := intArg("meta-kb", 0); kb > 0 {
-			cfg.Secure.MetaCacheBytes = kb * 1024
-		}
-		cfg.Secure.MetaMSHRs = intArg("mshrs", cfg.Secure.MetaMSHRs)
-		if v := q.Get("unified"); v != "" {
-			cfg.Secure.Unified = v == "true" || v == "1"
-		}
-	}
-	if err != nil {
-		return cfg, scheme, bench, err
-	}
+	cfg, scheme, err = gpusecmem.ConfigForKnobs(q, n)
 	if q.Get("audit") == "true" || q.Get("audit") == "1" {
 		cfg.Audit = true
 	}
-	return cfg, scheme, bench, cfg.Validate()
+	return cfg, scheme, bench, err
 }
 
 func validBenchmark(name string) bool {
@@ -594,13 +553,13 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	res, source, shared, err := s.flights.do(ctx, key, func() (*gpusecmem.Result, string, error) {
+	out, shared, err := s.flights.Do(ctx, key, func() (served, error) {
 		// Re-check the cache under the flight: a request that queued
 		// behind the worker pool may find its result already landed.
 		v := s.newView(ctx)
 		if res, ok := v.Get(key); ok {
 			v.count()
-			return res, v.source(), nil
+			return served{res, v.source()}, nil
 		}
 		cfg := cfg
 		cfg.Shards = s.cfg.Shards // json:"-": does not change the key
@@ -614,12 +573,12 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 			res, err = gpusecmem.SimulateContext(ctx, cfg, bench)
 		}
 		if err != nil {
-			return nil, "", err
+			return served{}, err
 		}
 		v.Put(key, res)
 		v.count()
 		ck.count()
-		return res, ck.sourceOr("simulated"), nil
+		return served{res, ck.sourceOr("simulated")}, nil
 	})
 	if err != nil {
 		httpError(w, r, s.failStatus(err), "%v", err)
@@ -633,7 +592,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		// waiter's wall time restates the same simulation.
 		observeRun(wall)
 	}
-	s.writeRun(w, r, res, source, scheme, bench, key, wall)
+	s.writeRun(w, r, out.res, out.source, scheme, bench, key, wall)
 }
 
 // --- experiment tables ---

@@ -15,9 +15,8 @@ import (
 
 // instruments holds the daemon's handles into the telemetry registry.
 // These are the *only* request counters the daemon keeps: the
-// /healthz JSON, the gpusecmem_daemon expvar, and the /metrics
-// exposition are all views over these same instruments, so the three
-// surfaces cannot drift apart.
+// /healthz JSON and the /metrics exposition are both views over these
+// same instruments, so the two surfaces cannot drift apart.
 type instruments struct {
 	admitted  *telemetry.Counter
 	rejected  *telemetry.Counter
@@ -116,8 +115,7 @@ func initInstruments() {
 // registerServerViews wires the per-instance state of this Server —
 // the memory-LRU fill level and the persistent stores' own counters —
 // into the registry as Func views. Re-registration replaces the
-// callback, so the newest Server wins: exactly the semantics the old
-// activeServer expvar workaround existed to provide.
+// callback, so the newest Server wins.
 func (s *Server) registerServerViews() {
 	reg := telemetry.Default
 	reg.GaugeFunc("gpusecmem_memcache_entries", "entries in the in-process result LRU", func() float64 {

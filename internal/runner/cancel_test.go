@@ -115,7 +115,7 @@ func TestRunAfterCancelCompletes(t *testing.T) {
 
 // TestActiveSweepClearedAfterRun is the stale-progress bugfix: a
 // finished sweep must not keep publishing its final snapshot through
-// /progress and the gpusecmem_sweep expvar in a long-lived process.
+// /progress in a long-lived process.
 func TestActiveSweepClearedAfterRun(t *testing.T) {
 	gctx := gpusecmem.NewContext(gpusecmem.Options{Cycles: 1000, Benchmarks: []string{"nw"}})
 	var out bytes.Buffer

@@ -8,7 +8,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -16,7 +15,7 @@ import (
 )
 
 // ProgressSnapshot is the live view of a running sweep served by the
-// debug endpoint's /progress route (and the gpusecmem_sweep expvar).
+// debug endpoint's /progress route.
 type ProgressSnapshot struct {
 	Jobs           int     `json:"jobs"`
 	PlannedRuns    int     `json:"planned_runs"`
@@ -56,32 +55,16 @@ func (s *sweepState) snapshot() ProgressSnapshot {
 
 var activeSweep atomic.Pointer[sweepState]
 
-// publishOnce guards expvar.Publish, which panics on duplicate names.
-var publishOnce sync.Once
-
-func publishSweepVar() {
-	publishOnce.Do(func() {
-		expvar.Publish("gpusecmem_sweep", expvar.Func(func() any {
-			s := activeSweep.Load()
-			if s == nil {
-				return nil
-			}
-			return s.snapshot()
-		}))
-	})
-}
-
 // NewDebugHandler builds the sweep debug mux:
 //
 //	/          index of available routes
 //	/progress  live sweep progress as JSON
 //	/metrics   Prometheus text-format exposition of telemetry.Default
-//	/debug/vars  expvar counters (includes gpusecmem_sweep)
+//	/debug/vars  the Go runtime's expvars (memstats, cmdline)
 //	/debug/pprof/*  net/http/pprof profiles for long sweeps
 //
 // The handler is safe to serve while a sweep runs.
 func NewDebugHandler() http.Handler {
-	publishSweepVar()
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/" {
@@ -91,7 +74,7 @@ func NewDebugHandler() http.Handler {
 		fmt.Fprint(w, "gpusecmem sweep debug endpoint\n\n"+
 			"  /progress       live sweep progress (JSON)\n"+
 			"  /metrics        Prometheus text-format exposition\n"+
-			"  /debug/vars     expvar counters\n"+
+			"  /debug/vars     Go runtime expvars (memstats, cmdline)\n"+
 			"  /debug/pprof/   CPU/heap/goroutine profiles\n")
 	})
 	mux.HandleFunc("/progress", func(w http.ResponseWriter, r *http.Request) {

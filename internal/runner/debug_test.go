@@ -69,10 +69,11 @@ func TestDebugHandlerRoutes(t *testing.T) {
 		t.Fatalf("derived rates missing: %+v", snap)
 	}
 
-	// expvar carries the same snapshot under gpusecmem_sweep.
+	// /debug/vars serves the Go runtime's expvars, which /metrics does
+	// not carry.
 	code, body = get(t, srv, "/debug/vars")
-	if code != http.StatusOK || !strings.Contains(body, `"gpusecmem_sweep"`) {
-		t.Fatalf("expvar: code %d, gpusecmem_sweep missing", code)
+	if code != http.StatusOK || !strings.Contains(body, `"memstats"`) {
+		t.Fatalf("expvar: code %d, memstats missing", code)
 	}
 
 	// pprof index responds (profiles themselves are too slow for a unit

@@ -50,7 +50,7 @@ type Options struct {
 	// ProgressInterval is the ticker period (default 1s).
 	ProgressInterval time.Duration
 	// DebugAddr, when non-empty, serves the sweep debug HTTP endpoint
-	// (live progress, expvar, pprof) on that address for the duration
+	// (live progress, metrics, pprof) on that address for the duration
 	// of the sweep. See NewDebugHandler.
 	DebugAddr string
 }

@@ -2,7 +2,9 @@ package gpusecmem
 
 import (
 	"fmt"
+	"net/url"
 	"sort"
+	"strconv"
 )
 
 // SchemeNames lists the named secure-memory design points of Tables V
@@ -73,4 +75,50 @@ func ConfigForScheme(name string) (Config, error) {
 		return Config{}, fmt.Errorf("gpusecmem: unknown scheme %q (known: %v)", name, SchemeNames())
 	}
 	return mk(), nil
+}
+
+// ConfigForKnobs resolves a run request to a validated Config: the
+// named scheme (default ctr_mac_bmt) with the integer knobs
+// aes-latency, aes-engines, meta-kb and mshrs and the boolean unified
+// applied on top, and MaxCycles set to cycles. An absent or empty key
+// keeps the scheme's own value; meta-kb <= 0 does too, and a scheme
+// without encryption ignores every knob. The keys are both secmemd's
+// /api/run query parameters and secmemsim's flag names, so the two
+// tools resolve a request the same way.
+func ConfigForKnobs(knobs url.Values, cycles uint64) (cfg Config, scheme string, err error) {
+	scheme = knobs.Get("scheme")
+	if scheme == "" {
+		scheme = "ctr_mac_bmt"
+	}
+	if cfg, err = ConfigForScheme(scheme); err != nil {
+		return cfg, scheme, err
+	}
+	cfg.MaxCycles = cycles
+	if sc := &cfg.Secure; sc.Encryption != EncNone {
+		metaKB := 0
+		for _, k := range []struct {
+			key string
+			dst *int
+		}{
+			{"aes-latency", &sc.AESLatency},
+			{"aes-engines", &sc.AESEngines},
+			{"meta-kb", &metaKB},
+			{"mshrs", &sc.MetaMSHRs},
+		} {
+			v := knobs.Get(k.key)
+			if v == "" {
+				continue
+			}
+			if *k.dst, err = strconv.Atoi(v); err != nil {
+				return cfg, scheme, fmt.Errorf("bad %s: %v", k.key, err)
+			}
+		}
+		if metaKB > 0 {
+			sc.MetaCacheBytes = metaKB * 1024
+		}
+		if v := knobs.Get("unified"); v != "" {
+			sc.Unified = v == "true" || v == "1"
+		}
+	}
+	return cfg, scheme, cfg.Validate()
 }
