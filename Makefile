@@ -3,10 +3,15 @@
 
 GO ?= go
 
-.PHONY: verify vet doc-lint build test race race-full smoke bench gobench results audit fuzz daemon perf-gate
+.PHONY: verify fmt vet doc-lint build test race race-full smoke bench gobench results audit fuzz daemon perf-gate
 
-## verify: vet + doc-lint + build + full test suite + CLI smoke run (tier-1 gate)
-verify: vet doc-lint build test smoke
+## verify: fmt + vet + doc-lint + build + full test suite + CLI smoke
+## run (tier-1 gate)
+verify: fmt vet doc-lint build test smoke
+
+## fmt: every tracked Go file is gofmt-clean
+fmt:
+	test -z "$$(gofmt -l .)"
 
 vet:
 	$(GO) vet ./...

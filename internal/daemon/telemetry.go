@@ -39,9 +39,9 @@ type instruments struct {
 	peerMisses      *telemetry.Counter
 	putRawFallbacks *telemetry.Counter
 	simulated       *telemetry.Counter
-	resumed    *telemetry.Counter
-	saved      *telemetry.Counter
-	runDur     *telemetry.HistogramVec // tier: memory|disk|peer|simulated|resumed
+	resumed         *telemetry.Counter
+	saved           *telemetry.Counter
+	runDur          *telemetry.HistogramVec // tier: memory|disk|peer|simulated|resumed
 
 	forwarded        *telemetry.Counter
 	forwardFallbacks *telemetry.Counter
@@ -80,9 +80,9 @@ func initInstruments() {
 
 			putRawFallbacks: reg.Counter("gpusecmem_cache_putraw_fallbacks_total", "raw envelope writes that failed and fell back to a typed disk Put"),
 			simulated:       reg.Counter("gpusecmem_runs_simulated_total", "requests that ran a fresh simulation"),
-			resumed:   reg.Counter("gpusecmem_checkpoint_restores_total", "served simulations resumed from a checkpoint"),
-			saved:     reg.Counter("gpusecmem_checkpoint_saves_total", "checkpoints written while serving"),
-			runDur:    reg.HistogramVec("gpusecmem_run_duration_us", "end-to-end request simulation time in microseconds by serving tier", "tier"),
+			resumed:         reg.Counter("gpusecmem_checkpoint_restores_total", "served simulations resumed from a checkpoint"),
+			saved:           reg.Counter("gpusecmem_checkpoint_saves_total", "checkpoints written while serving"),
+			runDur:          reg.HistogramVec("gpusecmem_run_duration_us", "end-to-end request simulation time in microseconds by serving tier", "tier"),
 
 			forwarded:        reg.Counter("gpusecmem_cluster_forwards_total", "/api/run requests proxied to the key's owner for cluster-wide coalescing"),
 			forwardFallbacks: reg.Counter("gpusecmem_cluster_forward_fallbacks_total", "forwards abandoned for local simulation because the owner was down or unreachable"),

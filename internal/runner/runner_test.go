@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"gpusecmem"
+	"gpusecmem/internal/report"
 )
 
 // renderReport flattens a sweep's tables to bytes the way
@@ -178,6 +179,49 @@ func TestStatsOutput(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("stats JSON missing %s:\n%s", want, out)
 		}
+	}
+}
+
+// TestStatsRenderTimeRun covers a run the planner never sees: the
+// experiment bails on the planning placeholder before asking for its
+// second run, so that run simulates at render time. Its record must
+// follow the planned ones and carry a null config.
+func TestStatsRenderTimeRun(t *testing.T) {
+	bails := gpusecmem.Experiment{
+		ID:    "bails-on-placeholder",
+		Title: "bails on placeholder data while planning",
+		Run: func(c *gpusecmem.Context) []*report.Table {
+			if r := c.Run(gpusecmem.BaselineConfig(), "nw"); r.Cycles <= 1 {
+				return nil
+			}
+			c.Run(gpusecmem.SecureMemConfig(), "nw")
+			return nil
+		},
+	}
+	ctx := gpusecmem.NewContext(gpusecmem.Options{Cycles: 800, Benchmarks: []string{"nw"}})
+	rep := Run(context.Background(), ctx, []gpusecmem.Experiment{bails}, Options{Jobs: 2})
+
+	if rep.PlannedRuns != 1 || rep.ExecutedRuns != 2 || len(rep.Runs) != 2 {
+		t.Fatalf("planned %d, executed %d, %d records; want 1, 2, 2",
+			rep.PlannedRuns, rep.ExecutedRuns, len(rep.Runs))
+	}
+	planned, late := rep.Runs[0], rep.Runs[1]
+	if !bytes.HasPrefix(planned.Config, []byte("{")) {
+		t.Fatalf("planned run config not JSON: %s", planned.Config)
+	}
+	if string(late.Config) != "null" || late.Benchmark != "nw" || late.Cycles != 800 {
+		t.Fatalf("render-time record: %+v", late)
+	}
+	if late.Key == planned.Key {
+		t.Fatalf("render-time record repeats the planned key %s", late.Key)
+	}
+
+	var buf bytes.Buffer
+	if err := rep.WriteStats(&buf, "render-time"); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), `"config": null`) {
+		t.Fatalf("stats JSON lacks the null config:\n%s", buf.String())
 	}
 }
 

@@ -329,7 +329,18 @@ func (g *GPU) step() {
 			g.deliverReply(r)
 		}
 	}
-	// Issue.
+	g.tickSMs()
+	if g.probe != nil {
+		g.sampleProbe()
+	}
+}
+
+// tickSMs is the issue phase of cycle g.now: every SM whose wake bound
+// has arrived ticks, in index order, after settling the full-stall
+// cycles it skipped. It returns the instructions issued. Under the
+// parallel engine each tick's L1-hit replies are staged under the
+// SM-tick merge key.
+func (g *GPU) tickSMs() (issued uint64) {
 	for i, sm := range g.sms {
 		if g.smWake[i] > g.now {
 			continue
@@ -337,13 +348,16 @@ func (g *GPU) step() {
 		if idle := g.now - g.smLastTick[i] - 1; idle > 0 {
 			sm.AccountIdle(idle)
 		}
+		if st := g.smStage; st != nil {
+			st.setCtx(g.now, 2, uint64(i))
+		}
+		before := sm.Instructions
 		sm.Tick(g.now, g.issueMem)
+		issued += sm.Instructions - before
 		g.smLastTick[i] = g.now
 		g.smWake[i] = sm.NextReady(g.now + 1)
 	}
-	if g.probe != nil {
-		g.sampleProbe()
-	}
+	return issued
 }
 
 // settleIdleStalls books the full-stall cycles of SMs that were
@@ -378,14 +392,12 @@ func (g *GPU) nextInteresting() uint64 {
 			next = t
 		}
 	}
-	if g.cfg.WatchdogCycles > 0 {
-		// Land exactly on the cycle checkWatchdog would fire, so a
-		// wedged run stalls at the same cycle with the same dump as the
-		// legacy loop.
-		if fire := g.lastProgressAt + g.cfg.WatchdogCycles; fire < next {
-			next = fire
-		}
-	}
+	// Land exactly on the cycle checkWatchdog would fire, so a wedged
+	// run stalls at the same cycle with the same dump as the legacy
+	// loop, and exactly on checkpoint cycles (the landing step is a
+	// no-op for an idle machine, so resumability costs no timing
+	// fidelity).
+	next = min(next, g.watchdogFire(), g.checkpointBound())
 	if g.probe != nil && g.probe.Timeline != nil {
 		// Timeline windows close on every interval multiple.
 		if iv := g.probe.Timeline.Interval(); iv > 0 {
@@ -394,18 +406,33 @@ func (g *GPU) nextInteresting() uint64 {
 			}
 		}
 	}
-	if g.ckptSink != nil {
-		// Land exactly on checkpoint cycles, like the watchdog and
-		// probe-timeline caps; the landing step is a no-op for an idle
-		// machine, so resumability costs no timing fidelity.
-		if b := (g.now/g.ckptEvery + 1) * g.ckptEvery; b < next {
-			next = b
-		}
-	}
 	if next <= g.now {
 		next = g.now + 1
 	}
 	return next
+}
+
+// watchdogFire is the cycle the watchdog fires at if nothing
+// progresses first, or ^0 when it cannot fire after g.now: disarmed,
+// or a fire cycle already reached with no loads outstanding. Such a
+// cycle stays inert, because a new load needs an issuing instruction,
+// which is progress and moves lastProgressAt.
+func (g *GPU) watchdogFire() uint64 {
+	if g.cfg.WatchdogCycles > 0 {
+		if f := g.lastProgressAt + g.cfg.WatchdogCycles; f > g.now {
+			return f
+		}
+	}
+	return ^uint64(0)
+}
+
+// checkpointBound is the next checkpoint cycle after g.now, or ^0 when
+// checkpointing is off.
+func (g *GPU) checkpointBound() uint64 {
+	if g.ckptSink == nil {
+		return ^uint64(0)
+	}
+	return (g.now/g.ckptEvery + 1) * g.ckptEvery
 }
 
 // SetCheckpoint arms periodic checkpointing: every `every` cycles (and
@@ -465,27 +492,24 @@ func (g *GPU) fastForward() {
 func (g *GPU) Run() (*Result, error) { return g.RunContext(context.Background()) }
 
 // cancelCheckMask gates the cooperative cancellation poll: the loop
-// consults ctx only once every cancelCheckMask+1 executed steps, so
-// the hot path of an uncancellable run (ctx.Done() == nil) stays a
-// single nil comparison and a cancellable one adds a masked counter
-// test. At simulator speeds (millions of steps per second) this still
-// bounds the reaction latency to well under a millisecond.
-const cancelCheckMask = 0x3ff
+// consults ctx once every cancelCheckMask+1 iterations (steps or
+// barrier windows), so the hot path of an uncancellable run
+// (ctx.Done() == nil) stays a single nil comparison and a cancellable
+// one adds a masked counter test.
+const cancelCheckMask = 63
 
 // RunContext is Run with cooperative cancellation: when ctx is
 // cancelled the simulation stops at the next check boundary and
 // returns (nil, ctx.Err()) — never a partial Result. Cancellation is
-// polled between steps (on the same boundary the watchdog and
+// polled between iterations (on the same boundary the watchdog and
 // fast-forward logic run), so a run that is never cancelled produces
 // bit-identical results to Run.
+//
+// This is the only run loop. Each iteration advances the machine by
+// one sequential step or, when parallelEligible, one barrier window
+// of the parallel engine (DESIGN.md §13); the watchdog, checkpointing,
+// cancellation and idle skipping run here for both engines.
 func (g *GPU) RunContext(ctx context.Context) (*Result, error) {
-	if g.parallelEligible() {
-		return g.runParallel(ctx)
-	}
-	// Per-cycle auditing wants every cycle stepped; per-component
-	// skipping inside step stays on (it is state-identical, so the
-	// auditors see the same books).
-	ff := !g.disableFF && !g.cfg.Audit
 	done := ctx.Done()
 	if done != nil {
 		// An already-dead context never simulates, however short the
@@ -496,11 +520,24 @@ func (g *GPU) RunContext(ctx context.Context) (*Result, error) {
 		default:
 		}
 	}
-	for g.now < g.cfg.MaxCycles {
-		g.step()
-		if g.cfg.Audit {
-			if err := g.audit(g.now%auditDeepPeriod == 0); err != nil {
-				return nil, err
+	var par *parEngine
+	if g.parallelEligible() {
+		par = g.startParallel()
+		defer par.stop()
+	}
+	// Per-cycle auditing wants every cycle stepped; per-component
+	// skipping inside step stays on (it is state-identical, so the
+	// auditors see the same books).
+	ff := !g.disableFF && !g.cfg.Audit
+	for iter := uint64(1); g.now < g.cfg.MaxCycles; iter++ {
+		if par != nil {
+			par.window()
+		} else {
+			g.step()
+			if g.cfg.Audit {
+				if err := g.audit(g.now%auditDeepPeriod == 0); err != nil {
+					return nil, err
+				}
 			}
 		}
 		if err := g.checkWatchdog(); err != nil {
@@ -509,7 +546,7 @@ func (g *GPU) RunContext(ctx context.Context) (*Result, error) {
 		if g.ckptSink != nil {
 			g.maybeCheckpoint(false)
 		}
-		if done != nil && g.stepped&cancelCheckMask == 0 {
+		if done != nil && iter&cancelCheckMask == 0 {
 			select {
 			case <-done:
 				// Snapshot before abandoning the run so a drain or kill

@@ -31,7 +31,6 @@ package sim
 // partition-owned (caches, DRAM channel, MSHRs, read states, tokens).
 
 import (
-	"context"
 	"sort"
 
 	"gpusecmem/internal/shard"
@@ -157,193 +156,100 @@ func (g *GPU) parallelEligible() bool {
 		g.probe == nil
 }
 
-// runParallel is the parallel counterpart of the RunContext loop. Its
-// results are bit-identical to the sequential engine's for every shard
-// count (the golden-digest suite pins this).
-func (g *GPU) runParallel(ctx context.Context) (*Result, error) {
-	S := g.cfg.Shards
-	if S > len(g.parts) {
-		S = len(g.parts)
-	}
-	e := &parEngine{g: g, shards: S, pool: shard.NewPool(S)}
-	defer e.pool.Close()
-	lat := g.cfg.IcntLatency
+// startParallel wires the parallel engine into g for one run: the
+// shard pool, one staging buffer per shard worker (partitions share
+// them round-robin) and the SM task's own. stop unwires it. Results
+// are bit-identical to the sequential engine's for every shard count
+// (the golden-digest suite pins this).
+func (g *GPU) startParallel() *parEngine {
+	S := min(g.cfg.Shards, len(g.parts))
+	e := &parEngine{g: g, shards: S, pool: shard.NewPool(S), inboxes: make([]inbox, len(g.parts))}
 	for w := 0; w < S; w++ {
-		e.stages = append(e.stages, &replyStage{latency: lat})
+		e.stages = append(e.stages, &replyStage{latency: g.cfg.IcntLatency})
 	}
-	e.inboxes = make([]inbox, len(g.parts))
 	for i, p := range g.parts {
 		p.stage = e.stages[i%S]
 	}
-	g.smStage = &replyStage{latency: lat}
-	defer func() {
-		for _, p := range g.parts {
-			p.stage = nil
-		}
-		g.smStage = nil
-	}()
+	g.smStage = &replyStage{latency: g.cfg.IcntLatency}
 	for _, sm := range g.sms {
 		e.instrTotal += sm.Instructions
 	}
+	return e
+}
 
-	done := ctx.Done()
-	if done != nil {
-		select {
-		case <-done:
-			return nil, ctx.Err()
-		default:
+func (e *parEngine) stop() {
+	e.pool.Close()
+	for _, p := range e.g.parts {
+		p.stage = nil
+	}
+	e.g.smStage = nil
+}
+
+// window advances the machine through one barrier window (T, E] from
+// T = g.now. E is one interconnect latency out, capped at the horizon
+// and at the watchdog's fire and next checkpoint cycles, so both land
+// on a merge barrier — the engine's only consistent (and
+// sequential-identical) state point. The run loop's fastForward has
+// already placed T just before the next cycle anything can act.
+func (e *parEngine) window() {
+	g := e.g
+	T := g.now
+	E := min(T+g.cfg.IcntLatency, g.cfg.MaxCycles, g.watchdogFire(), g.checkpointBound())
+
+	// Pre-drain both queues through E. Deliveries land in
+	// per-partition inboxes (tagged with their global FIFO order) and
+	// the SM task's reply inbox; nothing pushed during the window can
+	// be due before E+1, so the drain is complete.
+	partWork := false
+	seq := uint64(0)
+	g.toL2.DrainThrough(E, func(at uint64, m l2Msg) {
+		part, local := g.partitionOf(m.globalAddr)
+		ib := &e.inboxes[part]
+		ib.items = append(ib.items, inboxMsg{at: at, seq: seq, local: local, m: m})
+		seq++
+		partWork = true
+	})
+	e.smInbox = e.smInbox[:0]
+	e.smHead = 0
+	g.toSM.DrainThrough(E, func(at uint64, r smReply) {
+		e.smInbox = append(e.smInbox, smDelivery{at: at, r: r})
+	})
+	if !partWork {
+		for _, t := range g.partNext {
+			if t <= E {
+				partWork = true
+				break
+			}
 		}
 	}
-	maxC := g.cfg.MaxCycles
-	var windows uint64
-	T := g.now
-	for T < maxC {
-		// Jump idle stretches: land the next window on the earliest
-		// cycle any component could act (the parallel analogue of
-		// nextInteresting). Queue heads are lower bounds on effective
-		// delivery, partNext/smWake are the per-component bounds the
-		// last window left behind; undershooting costs a no-op window.
-		next := g.toL2.NextReady()
-		if t := g.toSM.NextReady(); t < next {
-			next = t
-		}
-		for _, t := range g.partNext {
-			if t <= T {
-				t = T + 1
-			}
-			if t < next {
-				next = t
-			}
-		}
+	smWork := len(e.smInbox) > 0
+	if !smWork {
 		for _, t := range g.smWake {
-			if t <= T {
-				t = T + 1
-			}
-			if t < next {
-				next = t
+			if t <= E {
+				smWork = true
+				break
 			}
 		}
-		// Cap at the watchdog's firing cycle so a wedged run reaches
-		// its barrier exactly there. A fire cycle already at or behind
-		// T means the watchdog cannot fire (no loads were outstanding
-		// when we passed it — otherwise we'd have stalled), so it must
-		// not pin the window.
-		fire := ^uint64(0)
-		if g.cfg.WatchdogCycles > 0 {
-			if f := g.lastProgressAt + g.cfg.WatchdogCycles; f > T {
-				fire = f
-			}
-		}
-		if fire < next {
-			next = fire
-		}
-		// Cap windows at checkpoint cycles exactly like the watchdog
-		// fire cycle, so snapshots land on a merge barrier — the
-		// parallel engine's only consistent (and sequential-identical)
-		// state point.
-		bound := ^uint64(0)
-		if g.ckptSink != nil {
-			bound = (T/g.ckptEvery + 1) * g.ckptEvery
-		}
-		if bound < next {
-			next = bound
-		}
-		if next > maxC {
-			// Nothing left before the horizon: idle out the rest.
-			g.now = maxC
-			break
-		}
-		if next > T+1 {
-			T = next - 1
-		}
-		E := T + lat
-		if E > maxC {
-			E = maxC
-		}
-		if E > fire {
-			E = fire
-		}
-		if E > bound {
-			E = bound
-		}
+	}
 
-		// Pre-drain both queues through E. Deliveries land in
-		// per-partition inboxes (tagged with their global FIFO order)
-		// and the SM task's reply inbox; nothing pushed during the
-		// window can be due before E+1, so the drain is complete.
-		partWork := false
-		seq := uint64(0)
-		g.toL2.DrainThrough(E, func(at uint64, m l2Msg) {
-			part, local := g.partitionOf(m.globalAddr)
-			ib := &e.inboxes[part]
-			ib.items = append(ib.items, inboxMsg{at: at, seq: seq, local: local, m: m})
-			seq++
-			partWork = true
+	// Shard workers advance partitions while the coordinator runs the
+	// SM task. Sides with nothing due skip their fork entirely.
+	if partWork {
+		e.pool.Fork(func(worker int) {
+			for i := worker; i < len(g.parts); i += e.shards {
+				e.partitionWindow(i, T, E)
+			}
 		})
-		e.smInbox = e.smInbox[:0]
-		e.smHead = 0
-		g.toSM.DrainThrough(E, func(at uint64, r smReply) {
-			e.smInbox = append(e.smInbox, smDelivery{at: at, r: r})
-		})
-		if !partWork {
-			for _, t := range g.partNext {
-				if t <= E {
-					partWork = true
-					break
-				}
-			}
-		}
-		smWork := len(e.smInbox) > 0
-		if !smWork {
-			for _, t := range g.smWake {
-				if t <= E {
-					smWork = true
-					break
-				}
-			}
-		}
-
-		// The window: shard workers advance partitions while the
-		// coordinator runs the SM task. Sides with nothing due skip
-		// their fork entirely.
-		if partWork {
-			e.pool.Fork(func(worker int) {
-				for i := worker; i < len(g.parts); i += S {
-					e.partitionWindow(i, T, E)
-				}
-			})
-			if smWork {
-				e.smWindow(T, E)
-			}
-			e.pool.Join()
-		} else if smWork {
+		if smWork {
 			e.smWindow(T, E)
 		}
-		g.now = E
-		e.mergeBarrier()
-		if err := g.checkWatchdog(); err != nil {
-			return nil, err
-		}
-		if g.ckptSink != nil {
-			// The barrier is a consistent point: staging buffers and
-			// inboxes are empty, so the snapshot equals the sequential
-			// engine's state at the end of cycle E.
-			g.maybeCheckpoint(false)
-		}
-		g.parallelWindows++
-		windows++
-		if done != nil && windows&63 == 0 {
-			select {
-			case <-done:
-				g.maybeCheckpoint(true)
-				return nil, ctx.Err()
-			default:
-			}
-		}
-		T = E
+		e.pool.Join()
+	} else if smWork {
+		e.smWindow(T, E)
 	}
-	g.maybeCheckpoint(true)
-	return g.collect(), nil
+	g.now = E
+	e.mergeBarrier()
+	g.parallelWindows++
 }
 
 // partitionWindow advances partition i through (T, E]: inbox
@@ -394,7 +300,6 @@ func (e *parEngine) partitionWindow(i int, T, E uint64) {
 // lastProgressAt matches the sequential engine cycle-for-cycle.
 func (e *parEngine) smWindow(T, E uint64) {
 	g := e.g
-	st := g.smStage
 	t := T + 1
 	for {
 		next := ^uint64(0)
@@ -421,20 +326,7 @@ func (e *parEngine) smWindow(T, E uint64) {
 			g.deliverReply(e.smInbox[e.smHead].r)
 			e.smHead++
 		}
-		for i, sm := range g.sms {
-			if g.smWake[i] > t {
-				continue
-			}
-			if idle := t - g.smLastTick[i] - 1; idle > 0 {
-				sm.AccountIdle(idle)
-			}
-			st.setCtx(t, 2, uint64(i))
-			before := sm.Instructions
-			sm.Tick(t, g.issueMem)
-			e.instrTotal += sm.Instructions - before
-			g.smLastTick[i] = t
-			g.smWake[i] = sm.NextReady(t + 1)
-		}
+		e.instrTotal += g.tickSMs()
 		if g.completedLoads != clBefore || e.instrTotal != instrBefore {
 			g.lastProgress = g.completedLoads + e.instrTotal
 			g.lastProgressAt = t

@@ -346,7 +346,7 @@ func (p *partition) snapshot() *PartitionState {
 				ID: rs.id, GlobalAddr: rs.globalAddr, LocalAddr: rs.localAddr,
 				L2Token: rs.l2Token, L2Bypass: rs.l2Bypass, L2Bank: rs.l2Bank,
 				DataDone: rs.dataDone, CtrDone: rs.ctrDone, MacDone: rs.macDone,
-				SharesLeft: rs.sharesLeft,
+				SharesLeft:  rs.sharesLeft,
 				Unprotected: rs.unprotected, ArrivedAt: rs.arrivedAt,
 				DataReady: rs.dataReady, CtrReady: rs.ctrReady, MacReady: rs.macReady,
 				Replied: rs.replied, Finished: rs.finished,
@@ -437,7 +437,7 @@ func (p *partition) restore(st *PartitionState) error {
 			id: r.ID, globalAddr: r.GlobalAddr, localAddr: r.LocalAddr,
 			l2Token: r.L2Token, l2Bypass: r.L2Bypass, l2Bank: r.L2Bank,
 			dataDone: r.DataDone, ctrDone: r.CtrDone, macDone: r.MacDone,
-			sharesLeft: r.SharesLeft,
+			sharesLeft:  r.SharesLeft,
 			unprotected: r.Unprotected, arrivedAt: r.ArrivedAt,
 			dataReady: r.DataReady, ctrReady: r.CtrReady, macReady: r.MacReady,
 			replied: r.Replied, finished: r.Finished,
