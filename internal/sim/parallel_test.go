@@ -40,6 +40,7 @@ func TestParallelIdentity(t *testing.T) {
 		{"securemem/heartwall", SecureMem(), "heartwall"},
 		{"baseline/nw", Baseline(), "nw"},
 		{"direct_mac_mt/lbm", DirectMem(60, true, true), "lbm"},
+		{"securemem_knobs/lbm", knobBranches(), "lbm"},
 	}
 	shardCounts := []int{2, 4, 5, 8, 32}
 	for _, tc := range cases {

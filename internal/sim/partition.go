@@ -234,7 +234,7 @@ func layoutFor(cfg *Config) *geometry.Layout {
 // ever compared for equality against tokens of the same partition, so
 // uniqueness within the partition suffices; the partition-id high bits
 // keep them globally distinct anyway, and the +1 keeps them nonzero (0
-// is the "no waiter" sentinel in the metadata wake paths).
+// is the "no waiter" sentinel in wakeWaiters).
 func (p *partition) newToken() uint64 {
 	p.localTok++
 	return uint64(p.id+1)<<40 | p.localTok
@@ -360,26 +360,36 @@ func (p *partition) startRead(globalAddr, localAddr, token uint64, l2Bypass bool
 	if protected && sc.Encryption == EncScattered {
 		// The share locations are unknown until the share map answers,
 		// so no data fetch is issued here: the map lookup gates the
-		// whole fan-out (a map hit issues the shares this cycle).
+		// whole fan-out (a map hit issues the shares this cycle; a miss
+		// defers them to the map line's fill, which reuses the counter
+		// gate in readState).
 		rs.macDone = true
-		p.smapAccess(rs, now)
+		if p.metaAccess(MetaSMap, p.ctr, p.smapLineAddr(localAddr), false, rs.id, destCtrFill, KindSMap, now) {
+			rs.ctrDone, rs.ctrReady = true, now+p.cfg.MetaLatency
+			p.issueShares(rs, now)
+		}
 		return
 	}
-	// Data fetch.
-	dt := p.newToken()
-	p.dests[dt] = dest{kind: destDataFill, readID: rs.id}
-	p.dram.Enqueue(dram.Request{Addr: localAddr, Bytes: geometry.SectorSize, Token: dt, Kind: int(KindData)})
+	p.fetch(dest{kind: destDataFill, readID: rs.id}, localAddr, geometry.SectorSize, KindData)
 
 	switch {
 	case protected && sc.Encryption == EncCounter:
-		p.counterAccess(rs, now)
+		ctrAddr := p.lay.CounterLineAddr(p.lay.CounterLine(localAddr))
+		if p.metaAccess(MetaCounter, p.ctr, ctrAddr, false, rs.id, destCtrFill, KindCounter, now) {
+			rs.ctrDone, rs.ctrReady = true, now+p.cfg.MetaLatency
+		}
 	case protected && sc.Encryption == EncSWCrypto:
-		p.keyAccess(rs, now)
+		if p.keyAccess(p.keyLineAddr(localAddr), rs.id, now) {
+			rs.ctrDone, rs.ctrReady = true, now+p.cfg.MetaLatency
+		}
 	default:
 		rs.ctrDone = true
 	}
 	if protected && sc.MAC {
-		p.macAccess(rs, now)
+		// Background under speculative verification.
+		if p.metaAccess(MetaMAC, p.mac, p.lay.MACSectorAddr(localAddr), false, rs.id, destMACFill, KindMAC, now) {
+			rs.macDone, rs.macReady = true, now+p.cfg.MetaLatency
+		}
 	} else {
 		rs.macDone = true
 	}
@@ -425,38 +435,6 @@ func (p *partition) shareAddr(localAddr uint64, i int) uint64 {
 	return h%dataLines*geometry.LineSize + localAddr%geometry.LineSize
 }
 
-// smapAccess probes the share-map cache on the read critical path. A
-// hit releases the share fan-out immediately; a miss defers it to the
-// map line's fill (wakeCounterWaiters — the map reuses the counter
-// gate in readState).
-func (p *partition) smapAccess(rs *readState, now uint64) {
-	mapAddr := p.smapLineAddr(rs.localAddr)
-	ms := &p.metaStats[MetaSMap]
-	ms.Accesses++
-	acc := p.ctr.Access(mapAddr, false, rs.id)
-	switch acc.Outcome {
-	case cache.Hit:
-		rs.ctrDone = true
-		rs.ctrReady = now + p.cfg.MetaLatency
-	case cache.MissPrimary:
-		ms.MissesPrimary++
-	default:
-		ms.MissesSecondary++
-	}
-	if acc.NeedFetch {
-		dt := p.newToken()
-		d := dest{kind: destCtrFill, addr: mapAddr, bypass: acc.Bypass, issuedAt: now}
-		if acc.Bypass {
-			d.readID = rs.id
-		}
-		p.dests[dt] = d
-		p.dram.Enqueue(dram.Request{Addr: mapAddr, Bytes: geometry.LineSize, Token: dt, Kind: int(KindSMap)})
-	}
-	if rs.ctrDone {
-		p.issueShares(rs, now)
-	}
-}
-
 // issueShares launches the k-way share fetch once the placement is
 // known: the home-address share counts as ordinary data traffic, the
 // k-1 scattered shares as KindShare. All shares feed the same
@@ -469,9 +447,7 @@ func (p *partition) issueShares(rs *readState, now uint64) {
 		if i > 0 {
 			addr, kind = p.shareAddr(rs.localAddr, i), KindShare
 		}
-		dt := p.newToken()
-		p.dests[dt] = dest{kind: destDataFill, readID: rs.id}
-		p.dram.Enqueue(dram.Request{Addr: addr, Bytes: geometry.SectorSize, Token: dt, Kind: int(kind)})
+		p.fetch(dest{kind: destDataFill, readID: rs.id}, addr, geometry.SectorSize, kind)
 	}
 }
 
@@ -484,24 +460,21 @@ func (p *partition) keyLineAddr(localAddr uint64) uint64 {
 	return p.metaBase + off/geometry.LineSize*geometry.LineSize
 }
 
-// keyAccess models the software driver's key lookup: one key-table
-// line is held in a register; any other page's key is a full uncached
-// DRAM line read. There are no MSHRs — concurrent misses to the same
-// key line each pay their own fetch, which is exactly the cost the
-// hardware metadata path exists to avoid.
-func (p *partition) keyAccess(rs *readState, now uint64) {
-	keyLine := p.keyLineAddr(rs.localAddr)
+// keyAccess models the software driver's key lookup for a read
+// (readID) or a dirty writeback (readID 0) and reports whether the key
+// is held: one key-table line is held in a register; any other page's
+// key is a full uncached DRAM line read. There are no MSHRs —
+// concurrent misses to the same key line each pay their own fetch,
+// which is exactly the cost the hardware metadata path exists to avoid.
+func (p *partition) keyAccess(keyLine, readID, now uint64) (hit bool) {
 	ms := &p.metaStats[MetaKey]
 	ms.Accesses++
 	if keyLine == p.lastKeyLine {
-		rs.ctrDone = true
-		rs.ctrReady = now + p.cfg.MetaLatency
-		return
+		return true
 	}
 	ms.MissesPrimary++
-	dt := p.newToken()
-	p.dests[dt] = dest{kind: destKeyFill, addr: keyLine, readID: rs.id, issuedAt: now}
-	p.dram.Enqueue(dram.Request{Addr: keyLine, Bytes: geometry.LineSize, Token: dt, Kind: int(KindKey)})
+	p.fetch(dest{kind: destKeyFill, addr: keyLine, readID: readID, write: readID == 0, issuedAt: now}, keyLine, geometry.LineSize, KindKey)
+	return false
 }
 
 // swSchedule books one sector's software decrypt/encrypt pass through
@@ -519,66 +492,6 @@ func (p *partition) swSchedule(readyCycle uint64) uint64 {
 	}
 	p.macFree3 = start3 + 24
 	return start3/3 + uint64(sc.SWCryptoCycles)
-}
-
-// counterAccess probes the counter cache on the read critical path.
-func (p *partition) counterAccess(rs *readState, now uint64) {
-	ctrAddr := p.lay.CounterLineAddr(p.lay.CounterLine(rs.localAddr))
-	if p.ctrReuse != nil {
-		p.ctrReuse.Touch(ctrAddr / geometry.LineSize)
-	}
-	ms := &p.metaStats[MetaCounter]
-	ms.Accesses++
-	acc := p.ctr.Access(ctrAddr, false, rs.id)
-	switch acc.Outcome {
-	case cache.Hit:
-		rs.ctrDone = true
-		rs.ctrReady = now + p.cfg.MetaLatency
-	case cache.MissPrimary:
-		ms.MissesPrimary++
-	default:
-		ms.MissesSecondary++
-	}
-	if acc.NeedFetch {
-		dt := p.newToken()
-		d := dest{kind: destCtrFill, addr: ctrAddr, bypass: acc.Bypass, issuedAt: now}
-		if acc.Bypass {
-			d.readID = rs.id
-		}
-		p.dests[dt] = d
-		p.dram.Enqueue(dram.Request{Addr: ctrAddr, Bytes: geometry.LineSize, Token: dt, Kind: int(KindCounter)})
-	}
-}
-
-// macAccess probes the MAC cache (background under speculative
-// verification).
-func (p *partition) macAccess(rs *readState, now uint64) {
-	macAddr := p.lay.MACSectorAddr(rs.localAddr)
-	macLine := macAddr / geometry.LineSize * geometry.LineSize
-	if p.macReuse != nil {
-		p.macReuse.Touch(macLine / geometry.LineSize)
-	}
-	ms := &p.metaStats[MetaMAC]
-	ms.Accesses++
-	acc := p.mac.Access(macAddr, false, rs.id)
-	switch acc.Outcome {
-	case cache.Hit:
-		rs.macDone = true
-		rs.macReady = now + p.cfg.MetaLatency
-	case cache.MissPrimary:
-		ms.MissesPrimary++
-	default:
-		ms.MissesSecondary++
-	}
-	if acc.NeedFetch {
-		dt := p.newToken()
-		d := dest{kind: destMACFill, addr: macLine, bypass: acc.Bypass, issuedAt: now}
-		if acc.Bypass {
-			d.readID = rs.id
-		}
-		p.dests[dt] = d
-		p.dram.Enqueue(dram.Request{Addr: macLine, Bytes: geometry.LineSize, Token: dt, Kind: int(KindMAC)})
-	}
 }
 
 // maybeReply checks whether rs can be scheduled for its L2 fill and
@@ -704,7 +617,7 @@ func (p *partition) handleDataWriteback(ev *cache.Eviction, now uint64) {
 		for i := 1; i < sc.ScatterShares; i++ {
 			p.dram.Enqueue(dram.Request{Addr: p.shareAddr(ev.LineAddr, i), Bytes: ev.DirtyBytes, Write: true, Kind: int(KindShare)})
 		}
-		p.metaWriteAccess(MetaSMap, p.ctr, p.smapLineAddr(ev.LineAddr), destCtrFill, KindSMap, now)
+		p.metaAccess(MetaSMap, p.ctr, p.smapLineAddr(ev.LineAddr), true, 0, destCtrFill, KindSMap, now)
 		return
 	case EncSWCrypto:
 		// Software encryption of each dirty sector, after the driver
@@ -712,31 +625,22 @@ func (p *partition) handleDataWriteback(ev *cache.Eviction, now uint64) {
 		for b := 0; b < ev.DirtyBytes; b += geometry.SectorSize {
 			p.swSchedule(now)
 		}
-		keyLine := p.keyLineAddr(ev.LineAddr)
-		ms := &p.metaStats[MetaKey]
-		ms.Accesses++
-		if keyLine != p.lastKeyLine {
-			ms.MissesPrimary++
-			dt := p.newToken()
-			p.dests[dt] = dest{kind: destKeyFill, addr: keyLine, write: true, issuedAt: now}
-			p.dram.Enqueue(dram.Request{Addr: keyLine, Bytes: geometry.LineSize, Token: dt, Kind: int(KindKey)})
-		}
+		p.keyAccess(p.keyLineAddr(ev.LineAddr), 0, now)
 		return
 	}
 	// Encryption occupancy, one AES pass per dirty sector.
 	for b := 0; b < ev.DirtyBytes; b += geometry.SectorSize {
 		p.aesSchedule(now)
 	}
+	// Eager tree updates write the leaf's parent node alongside the
+	// leaf; lazy ones defer it to the leaf's eviction.
+	eager := sc.Tree && !sc.LazyTreeUpdate
 	if sc.Encryption == EncCounter {
 		// Counter increment: read-modify-write of the counter line.
 		ctrAddr := p.lay.CounterLineAddr(p.lay.CounterLine(ev.LineAddr))
-		if p.ctrReuse != nil {
-			p.ctrReuse.Touch(ctrAddr / geometry.LineSize)
-		}
-		p.metaWriteAccess(MetaCounter, p.ctr, ctrAddr, destCtrFill, KindCounter, now)
-		if sc.Tree && !sc.LazyTreeUpdate {
-			level, idx, _ := p.lay.LeafParent(p.lay.CounterLine(ev.LineAddr))
-			p.treeWriteAccess(p.lay.TreeNodeAddr(level, idx), now)
+		p.metaAccess(MetaCounter, p.ctr, ctrAddr, true, 0, destCtrFill, KindCounter, now)
+		if eager {
+			p.treeAccess(ctrAddr, true, now)
 		}
 	}
 	if sc.MAC {
@@ -744,114 +648,108 @@ func (p *partition) handleDataWriteback(ev *cache.Eviction, now uint64) {
 			p.macSchedule(now)
 		}
 		macAddr := p.lay.MACSectorAddr(ev.LineAddr)
-		macLine := macAddr / geometry.LineSize * geometry.LineSize
-		if p.macReuse != nil {
-			p.macReuse.Touch(macLine / geometry.LineSize)
-		}
-		p.metaWriteAccess(MetaMAC, p.mac, macAddr, destMACFill, KindMAC, now)
-		if sc.Encryption == EncDirect && sc.Tree && !sc.LazyTreeUpdate {
-			level, idx, _ := p.lay.LeafParent(p.lay.MACLine(ev.LineAddr))
-			p.treeWriteAccess(p.lay.TreeNodeAddr(level, idx), now)
+		p.metaAccess(MetaMAC, p.mac, macAddr, true, 0, destMACFill, KindMAC, now)
+		if eager {
+			p.treeAccess(macAddr, true, now) // a tree leaf only under EncDirect
 		}
 	}
-}
-
-// metaWriteAccess performs a read-modify-write access to a metadata
-// cache, fetching the line on a miss.
-func (p *partition) metaWriteAccess(mk MetaKind, c *cache.Cache, addr uint64, fillKind destKind, traffic TrafficKind, now uint64) {
-	ms := &p.metaStats[mk]
-	ms.Accesses++
-	acc := c.Access(addr, true, 0)
-	switch acc.Outcome {
-	case cache.Hit:
-	case cache.MissPrimary:
-		ms.MissesPrimary++
-	default:
-		ms.MissesSecondary++
-	}
-	if acc.Writeback != nil { // allocate-on-miss reservation
-		p.handleMetaWriteback(acc.Writeback, now)
-	}
-	if acc.NeedFetch {
-		lineAddr := addr / geometry.LineSize * geometry.LineSize
-		dt := p.newToken()
-		p.dests[dt] = dest{kind: fillKind, addr: lineAddr, bypass: acc.Bypass, write: true, issuedAt: now}
-		p.dram.Enqueue(dram.Request{Addr: lineAddr, Bytes: geometry.LineSize, Token: dt, Kind: int(traffic)})
-	}
-}
-
-// treeWriteAccess updates a tree node in the tree cache (lazy-update
-// parent propagation).
-func (p *partition) treeWriteAccess(nodeAddr uint64, now uint64) {
-	p.metaWriteAccess(MetaTree, p.tree, nodeAddr, destTreeFill, KindTree, now)
 }
 
 // handleMetaWriteback processes a dirty metadata-cache eviction: the
 // DRAM writeback plus the lazy parent update it triggers.
 func (p *partition) handleMetaWriteback(ev *cache.Eviction, now uint64) {
-	p.dram.Enqueue(dram.Request{Addr: ev.LineAddr, Bytes: ev.DirtyBytes, Write: true, Kind: int(KindWB)})
-	sc := &p.cfg.Secure
-	if !sc.Tree || !sc.LazyTreeUpdate {
-		return
+	// ev aliases cache scratch: read it before the parent access.
+	lineAddr := ev.LineAddr
+	p.dram.Enqueue(dram.Request{Addr: lineAddr, Bytes: ev.DirtyBytes, Write: true, Kind: int(KindWB)})
+	if sc := &p.cfg.Secure; sc.Tree && sc.LazyTreeUpdate {
+		p.treeAccess(lineAddr, true, now)
 	}
-	switch p.lay.RegionOf(ev.LineAddr) {
+}
+
+// --- Metadata access ---
+
+// metaAccess is the one metadata-cache lookup. It probes c for addr —
+// a read on the critical path (readID set), a read-modify-write
+// (write), or a tree-walk step (neither) — books metaStats[mk], writes
+// back any dirty victim an allocate-on-miss reservation evicts, and on
+// a miss that needs a fetch reads the line from DRAM, to complete as a
+// fill of kind fill. A bypassing fetch carries readID, since no MSHR
+// holds it. Only a hit's action is left to the caller.
+func (p *partition) metaAccess(mk MetaKind, c *cache.Cache, addr uint64, write bool, readID uint64, fill destKind, traffic TrafficKind, now uint64) (hit bool) {
+	switch {
+	case mk == MetaCounter && p.ctrReuse != nil:
+		p.ctrReuse.Touch(addr / geometry.LineSize)
+	case mk == MetaMAC && p.macReuse != nil:
+		p.macReuse.Touch(addr / geometry.LineSize)
+	}
+	ms := &p.metaStats[mk]
+	ms.Accesses++
+	acc := c.Access(addr, write, readID)
+	switch acc.Outcome {
+	case cache.Hit:
+		return true
+	case cache.MissPrimary:
+		ms.MissesPrimary++
+	default:
+		ms.MissesSecondary++
+	}
+	if acc.Writeback != nil {
+		p.handleMetaWriteback(acc.Writeback, now)
+	}
+	if acc.NeedFetch {
+		lineAddr := addr / geometry.LineSize * geometry.LineSize
+		d := dest{kind: fill, addr: lineAddr, bypass: acc.Bypass, write: write, issuedAt: now}
+		if acc.Bypass {
+			d.readID = readID
+		}
+		p.fetch(d, lineAddr, geometry.LineSize, traffic)
+	}
+	return false
+}
+
+// fetch issues a DRAM read of bytes at addr whose completion dispatch
+// routes to d. It is the only place a DRAM token is minted.
+func (p *partition) fetch(d dest, addr uint64, bytes int, kind TrafficKind) {
+	tok := p.newToken()
+	p.dests[tok] = d
+	p.dram.Enqueue(dram.Request{Addr: addr, Bytes: bytes, Token: tok, Kind: int(kind)})
+}
+
+// treeParent returns the address of the tree node that authenticates
+// the metadata line holding addr: a leaf's lowest interior node
+// (counter lines under BMT, MAC lines under MT) or a node's parent. ok
+// is false for lines outside the tree and for level 0, whose hash
+// lives in the on-chip root register.
+func (p *partition) treeParent(addr uint64) (node uint64, ok bool) {
+	var level int
+	var idx uint64
+	switch p.lay.RegionOf(addr) {
 	case geometry.RegionCounter:
-		leaf := (ev.LineAddr - p.lay.CounterBase) / geometry.LineSize
-		level, idx, _ := p.lay.LeafParent(leaf)
-		p.treeWriteAccess(p.lay.TreeNodeAddr(level, idx), now)
+		level, idx, _ = p.lay.LeafParent((addr - p.lay.CounterBase) / geometry.LineSize)
 	case geometry.RegionMAC:
-		if sc.Encryption == EncDirect {
-			leaf := (ev.LineAddr - p.lay.MACBase) / geometry.LineSize
-			level, idx, _ := p.lay.LeafParent(leaf)
-			p.treeWriteAccess(p.lay.TreeNodeAddr(level, idx), now)
+		if p.cfg.Secure.Encryption != EncDirect {
+			return 0, false
 		}
+		level, idx, _ = p.lay.LeafParent((addr - p.lay.MACBase) / geometry.LineSize)
 	case geometry.RegionTree:
-		level, idx := p.lay.NodeByAddr(ev.LineAddr)
-		if plevel, pidx, _, ok := p.lay.Parent(level, idx); ok {
-			p.treeWriteAccess(p.lay.TreeNodeAddr(plevel, pidx), now)
+		if level, idx, _, ok = p.lay.Parent(p.lay.NodeByAddr(addr)); !ok {
+			return 0, false
 		}
-		// Level 0's hash lives in the on-chip root register: no
-		// further traffic.
+	default:
+		return 0, false
 	}
+	return p.lay.TreeNodeAddr(level, idx), true
 }
 
-// --- Integrity verification walks (background, speculative) ---
-
-// verifyWalkFromLeaf starts the tree walk that authenticates a freshly
-// fetched leaf (counter line under BMT, MAC line under MT).
-func (p *partition) verifyWalkFromLeaf(leaf uint64, now uint64) {
-	level, idx, _ := p.lay.LeafParent(leaf)
-	p.verifyWalk(level, idx, now)
-}
-
-// verifyWalk authenticates upward from node (level, idx): a cached
-// node terminates the walk (cached implies verified); a miss fetches
-// the node and continues from its parent when the fill returns.
-func (p *partition) verifyWalk(level int, idx uint64, now uint64) {
-	for {
-		nodeAddr := p.lay.TreeNodeAddr(level, idx)
-		ms := &p.metaStats[MetaTree]
-		ms.Accesses++
-		acc := p.tree.Access(nodeAddr, false, 0)
-		switch acc.Outcome {
-		case cache.Hit:
-			return
-		case cache.MissPrimary:
-			ms.MissesPrimary++
-		default:
-			ms.MissesSecondary++
-		}
-		if acc.Writeback != nil {
-			p.handleMetaWriteback(acc.Writeback, now)
-		}
-		if acc.NeedFetch {
-			dt := p.newToken()
-			p.dests[dt] = dest{kind: destTreeFill, addr: nodeAddr, bypass: acc.Bypass, issuedAt: now}
-			p.dram.Enqueue(dram.Request{Addr: nodeAddr, Bytes: geometry.LineSize, Token: dt, Kind: int(KindTree)})
-			return // continue from the parent at fill time
-		}
-		// Merged into an in-flight fetch: that walk continues for us.
-		return
+// treeAccess touches the tree node above the metadata line holding
+// addr: a parent update (write) or one step of the background
+// verification walk. A cached node ends the walk (cached implies
+// verified); a miss fetches the node, and its fill continues the walk
+// from its parent. A miss merged into an in-flight fetch leaves the
+// walk to that fetch.
+func (p *partition) treeAccess(addr uint64, write bool, now uint64) {
+	if node, ok := p.treeParent(addr); ok {
+		p.metaAccess(MetaTree, p.tree, node, write, 0, destTreeFill, KindTree, now)
 	}
 }
 
@@ -938,65 +836,6 @@ func (p *partition) dispatch(d dest, now uint64) {
 			rs.dataReady = now
 			p.maybeReply(rs, now)
 		}
-	case destCtrFill:
-		if in := p.gpu.inj; in != nil {
-			// A corrupt counter fails the tree check directly, or the
-			// (stateful) MAC check indirectly via the wrong OTP. (Under
-			// EncScattered this is the share map and neither exists:
-			// the flip lands silently.)
-			p.injectMeta(in, d.addr, sc.Tree || sc.MAC)
-		}
-		if pr := p.gpu.probe; pr != nil {
-			k := KindCounter
-			if sc.Encryption == EncScattered {
-				k = KindSMap
-			}
-			p.recordMetaSpan(pr, d, k, now)
-		}
-		fill := p.ctr.Fill(d.addr, d.bypass, d.write)
-		if fill.Writeback != nil {
-			p.handleMetaWriteback(fill.Writeback, now)
-		}
-		p.wakeCounterWaiters(fill.Tokens, d, now)
-		if sc.Tree {
-			leaf := (d.addr - p.lay.CounterBase) / geometry.LineSize
-			p.verifyWalkFromLeaf(leaf, now)
-		}
-	case destMACFill:
-		if in := p.gpu.inj; in != nil {
-			// A flipped stored MAC always miscompares against the
-			// recomputed one.
-			p.injectMeta(in, d.addr, true)
-		}
-		if pr := p.gpu.probe; pr != nil {
-			p.recordMetaSpan(pr, d, KindMAC, now)
-		}
-		fill := p.mac.Fill(d.addr, d.bypass, d.write)
-		if fill.Writeback != nil {
-			p.handleMetaWriteback(fill.Writeback, now)
-		}
-		p.wakeMACWaiters(fill.Tokens, d, now)
-		if sc.Encryption == EncDirect && sc.Tree {
-			leaf := (d.addr - p.lay.MACBase) / geometry.LineSize
-			p.verifyWalkFromLeaf(leaf, now)
-		}
-	case destTreeFill:
-		if in := p.gpu.inj; in != nil {
-			// A flipped tree node fails its parent's hash check.
-			p.injectMeta(in, d.addr, true)
-		}
-		if pr := p.gpu.probe; pr != nil {
-			p.recordMetaSpan(pr, d, KindTree, now)
-		}
-		fill := p.tree.Fill(d.addr, d.bypass, d.write)
-		if fill.Writeback != nil {
-			p.handleMetaWriteback(fill.Writeback, now)
-		}
-		// Continue the verification walk upward.
-		level, idx := p.lay.NodeByAddr(d.addr)
-		if plevel, pidx, _, ok := p.lay.Parent(level, idx); ok {
-			p.verifyWalk(plevel, pidx, now)
-		}
 	case destKeyFill:
 		if in := p.gpu.inj; in != nil {
 			// A flipped page key scrambles the plaintext with nothing
@@ -1011,48 +850,71 @@ func (p *partition) dispatch(d dest, now uint64) {
 		// on the same line each pay their own fetch — the software path
 		// has no MSHRs to merge them.
 		p.lastKeyLine = d.addr
-		if rs, ok := p.reads[d.readID]; ok {
-			rs.ctrDone = true
-			rs.ctrReady = now
-			p.maybeReply(rs, now)
-		}
-	}
-}
-
-func (p *partition) wakeCounterWaiters(tokens []uint64, d dest, now uint64) {
-	if d.bypass && d.readID != 0 {
-		tokens = append(tokens, d.readID)
-	}
-	for _, tok := range tokens {
-		if tok == 0 {
-			continue
-		}
-		if rs, ok := p.reads[tok]; ok {
-			rs.ctrDone = true
-			rs.ctrReady = now
-			if p.cfg.Secure.Encryption == EncScattered {
-				// The placement just became known: release the share
-				// fan-out (the reply waits on the shares, not here).
-				p.issueShares(rs, now)
-			} else {
-				p.maybeReply(rs, now)
+		p.wakeWaiters(nil, d, now)
+	default: // destCtrFill, destMACFill, destTreeFill
+		// A flipped stored MAC always miscompares against the
+		// recomputed one, and a flipped tree node fails its parent's
+		// hash check. A corrupt counter fails the tree check directly,
+		// or the (stateful) MAC check indirectly via the wrong OTP;
+		// under EncScattered this is the share map and neither exists,
+		// so the flip lands silently.
+		c, kind, covered := p.tree, KindTree, true
+		switch d.kind {
+		case destCtrFill:
+			c, kind, covered = p.ctr, KindCounter, sc.Tree || sc.MAC
+			if sc.Encryption == EncScattered {
+				kind = KindSMap
 			}
+		case destMACFill:
+			c, kind = p.mac, KindMAC
+		}
+		if in := p.gpu.inj; in != nil {
+			p.injectMeta(in, d.addr, covered)
+		}
+		if pr := p.gpu.probe; pr != nil {
+			p.recordMetaSpan(pr, d, kind, now)
+		}
+		fill := c.Fill(d.addr, d.bypass, d.write)
+		if fill.Writeback != nil {
+			p.handleMetaWriteback(fill.Writeback, now)
+		}
+		p.wakeWaiters(fill.Tokens, d, now) // tree lines have none
+		if sc.Tree {
+			// Authenticate the line: continue the verification walk
+			// from its parent.
+			p.treeAccess(d.addr, false, now)
 		}
 	}
 }
 
-func (p *partition) wakeMACWaiters(tokens []uint64, d dest, now uint64) {
-	if d.bypass && d.readID != 0 {
+// wakeWaiters releases the reads waiting on a metadata line that just
+// arrived: the MSHR's merged tokens plus the fetch's own read (a
+// bypassing or key fetch). A MAC line completes the reads' MAC gate;
+// any other line (counter, share map, page key) their counter gate.
+func (p *partition) wakeWaiters(tokens []uint64, d dest, now uint64) {
+	if d.readID != 0 {
 		tokens = append(tokens, d.readID)
 	}
 	for _, tok := range tokens {
 		if tok == 0 {
+			continue // a write or walk access: no waiting read
+		}
+		rs, ok := p.reads[tok]
+		if !ok {
 			continue
 		}
-		if rs, ok := p.reads[tok]; ok {
-			rs.macDone = true
-			rs.macReady = now
-			p.maybeReply(rs, now)
+		switch {
+		case d.kind == destMACFill:
+			rs.macDone, rs.macReady = true, now
+		case p.cfg.Secure.Encryption == EncScattered:
+			// The placement just became known: release the share
+			// fan-out (the reply waits on the shares, not here).
+			rs.ctrDone, rs.ctrReady = true, now
+			p.issueShares(rs, now)
+			continue
+		default:
+			rs.ctrDone, rs.ctrReady = true, now
 		}
+		p.maybeReply(rs, now)
 	}
 }

@@ -281,3 +281,44 @@ func TestGPUPartitionRouting(t *testing.T) {
 		}
 	}
 }
+
+// TestAllocOnMissWritebacksReachDRAM: under allocate-on-miss a read
+// miss reserves its victim way at miss time, so a dirty victim can leave
+// on the read path as well as on writes, fills and tree walks. Every
+// dirty eviction the metadata caches count must reach the DRAM channel
+// as a KindWB write, issued or still queued.
+func TestAllocOnMissWritebacksReachDRAM(t *testing.T) {
+	cfg := SecureMem()
+	cfg.Secure.AllocOnFill = false
+	cfg.MaxCycles = 6000
+	g, err := New(cfg, trace.MustNew("lbm"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.Run(); err != nil {
+		t.Fatal(err)
+	}
+	var evicted, written uint64
+	for _, p := range g.parts {
+		seen := map[*cache.Cache]bool{} // a unified cache aliases all three
+		for _, c := range []*cache.Cache{p.ctr, p.mac, p.tree} {
+			if c != nil && !seen[c] {
+				seen[c] = true
+				evicted += c.Stats.Writebacks
+			}
+		}
+		written += kindReqs(p, KindWB)
+		for _, r := range p.dram.Snapshot().Queue {
+			if r.Write && r.Kind == int(KindWB) {
+				written++
+			}
+		}
+	}
+	if evicted == 0 {
+		t.Fatal("no dirty metadata evictions: the run exercises nothing")
+	}
+	if written != evicted {
+		t.Errorf("metadata caches wrote back %d dirty lines, %d KindWB writes reached DRAM (%d lost)",
+			evicted, written, int64(evicted)-int64(written))
+	}
+}

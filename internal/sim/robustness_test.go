@@ -53,9 +53,21 @@ func TestWatchdogQuietOnHealthyRun(t *testing.T) {
 	runFor(t, cfg, "fdtd2d") // fatals on any error
 }
 
+// knobBranches is SecureMem with every metadata-path knob the catalogue
+// schemes leave at its default flipped: allocate-on-miss caches, eager
+// tree updates and blocking verification.
+func knobBranches() Config {
+	cfg := SecureMem()
+	cfg.Secure.AllocOnFill = false
+	cfg.Secure.LazyTreeUpdate = false
+	cfg.Secure.SpeculativeVerify = false
+	return cfg
+}
+
 // TestAuditorsPassOnCatalogue: the invariant auditors must stay quiet
 // across the whole benchmark catalogue on both the baseline and the
-// full secure design. -short checks a representative subset.
+// full secure design, and on lbm under the knob branches the catalogue
+// does not reach. -short checks a representative subset.
 func TestAuditorsPassOnCatalogue(t *testing.T) {
 	benches := trace.Names()
 	if testing.Short() {
@@ -67,6 +79,9 @@ func TestAuditorsPassOnCatalogue(t *testing.T) {
 			runFor(t, cfg, b)
 		}
 	}
+	cfg := knobBranches()
+	cfg.Audit = true
+	runFor(t, cfg, "lbm")
 }
 
 // TestFaultPlanRateZeroIdentical: a rate-0 plan (and a nil one) must
