@@ -45,19 +45,18 @@ daemon:
 smoke:
 	$(GO) run ./cmd/experiments -exp table1
 
-## bench: tracked simulator-throughput baseline — measures cycles/sec
-## and steady-state allocations on a fixed scheme x benchmark grid
-## (including sharded @s4 points on the parallel partition engine) and
-## writes BENCH_PR9.json with the PR6 reference embedded.
+## bench: the repository benchmark's traced sim-memory-bound run:
+## per-layer host ns per simulated cycle, allocations per kcycle,
+## shard speedup and exact model counts (see secbench/README.md)
 bench:
-	$(GO) run ./cmd/perfbench -baseline BENCH_PR6.json -out BENCH_PR9.json
+	bash secbench/run.sh --workload sim-memory-bound --seconds 30 --trace 1
 
-## perf-gate: quick perfbench run diffed against the committed
-## BENCH_PR9.json baseline — exits nonzero when any case regresses
-## past the threshold (the CI regression gate; thresholds are loose
-## because baselines come from a different host).
+## perf-gate: same-runner A/B of this checkout against HEAD^1 on the
+## benchmark's sim-memory-bound workload (10 interleaved pairs); fails
+## on an incorrect run or a consistent slowdown past the base's
+## spread (see scripts/bench-ab.sh)
 perf-gate:
-	$(GO) run ./cmd/perfbench -quick -out /tmp/perfgate.json -compare BENCH_PR9.json -compare-threshold 0.25
+	bash scripts/bench-ab.sh
 
 ## gobench: package micro-benchmarks via go test
 gobench:
@@ -74,7 +73,9 @@ audit:
 	$(GO) test -run 'TestAuditorsPassOnCatalogue|TestWatchdog' ./internal/sim
 	$(GO) run ./cmd/experiments -exp fig3 -cycles 8000 -audit -progress > /dev/null
 
-## fuzz: short fuzzing smoke over the crypto and secmem codecs
+## fuzz: short fuzzing smoke over the crypto and secmem codecs and
+## the result-cache envelope decoder (peer bytes from PUT /api/cache)
 fuzz:
 	$(GO) test -run Fuzz -fuzz FuzzCounterModeRoundTrip -fuzztime 10s ./internal/secmem
 	$(GO) test -run Fuzz -fuzz FuzzAESAgainstStdlib -fuzztime 10s ./internal/crypto
+	$(GO) test -run Fuzz -fuzz FuzzDecodeEnvelope -fuzztime 10s ./internal/resultcache

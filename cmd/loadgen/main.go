@@ -12,9 +12,14 @@
 // window exercises the cache tiers rather than the simulator.
 //
 // Pacing is closed-loop (every worker back-to-back) when -qps is 0,
-// or open-loop at the target aggregate rate otherwise. Latencies are
-// folded into the shared log2-bucket histogram (internal/probe.Hist),
-// per worker and merged at the end — no contention on the hot path.
+// or open-loop at the target aggregate rate otherwise. An open-loop
+// arrival carries the time it was due and its latency is timed from
+// then, so a stall charges every request it delays. Up to -workers
+// arrivals queue for a free worker; an arrival that finds the queue
+// full is counted in the report's "dropped" field, never silently
+// discarded. Latencies are folded into the shared log2-bucket
+// histogram (internal/probe.Hist), per worker and merged at the end —
+// no contention on the hot path.
 //
 // Usage:
 //
@@ -22,8 +27,10 @@
 //	        -duration 10s -workers 64 -keys 24 -skew 1.2 -out report.json
 //
 // The JSON report records the run parameters, throughput, latency
-// quantiles, and the serving-tier mix (from X-Run-Source), which is
-// what BENCH_PR9.json's cluster summary is built from.
+// quantiles, open-loop arrivals dropped, and the serving-tier mix
+// (from X-Run-Source). The repository benchmark (secbench/) has its own
+// open-loop serving workload; this command is the ad-hoc load source for a
+// running fleet.
 package main
 
 import (
@@ -43,13 +50,14 @@ import (
 	"gpusecmem/internal/probe"
 )
 
-// workload is the immutable request mix shared by every worker.
+// workload is the request mix shared by every worker, read-only once
+// drive has set gate and started them.
 type workload struct {
 	targets []string
 	urls    []string // one /api/run URL per key
 	skew    float64
 	qps     float64
-	gate    <-chan struct{} // open-loop pacing; nil = closed loop
+	gate    <-chan time.Time // open-loop arrivals, each its due time; nil = closed loop
 }
 
 // workerStats is one worker's private tally, merged after the run.
@@ -73,6 +81,7 @@ type report struct {
 	Warmed     bool     `json:"warmed"`
 	Requests   uint64   `json:"requests"`
 	Errors     uint64   `json:"errors"`
+	Dropped    uint64   `json:"dropped"`
 	Throughput float64  `json:"throughput_rps"`
 
 	LatencyUS struct {
@@ -128,39 +137,10 @@ func main() {
 		}
 	}
 
-	if *qps > 0 {
-		gate := make(chan struct{}, *workers)
-		go func() {
-			t := time.NewTicker(time.Duration(float64(time.Second) / *qps))
-			defer t.Stop()
-			for range t.C {
-				select {
-				case gate <- struct{}{}:
-				default: // saturated: drop the tick, never queue debt
-				}
-			}
-		}()
-		w.gate = gate
-	}
-
-	stats := make([]workerStats, *workers)
-	stop := time.Now().Add(*duration)
-	var wg sync.WaitGroup
-	for i := 0; i < *workers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			runWorker(client, w, &stats[i], rand.New(rand.NewSource(*seed+int64(i))), stop, i)
-		}(i)
-	}
-	t0 := time.Now()
-	wg.Wait()
-	elapsed := time.Since(t0)
-
-	total := mergeStats(stats)
+	total, dropped, elapsed := drive(client, w, *workers, *duration, *seed)
 
 	rep := report{
-		Schema:    "gpusecmem-loadgen/1",
+		Schema:    "gpusecmem-loadgen/2",
 		Targets:   w.targets,
 		Workers:   *workers,
 		DurationS: elapsed.Seconds(),
@@ -170,6 +150,7 @@ func main() {
 		Warmed:    *warm,
 		Requests:  total.requests,
 		Errors:    total.errors,
+		Dropped:   dropped,
 		Sources:   total.sources,
 		Codes:     map[string]uint64{},
 	}
@@ -201,6 +182,58 @@ func main() {
 		fmt.Fprintf(os.Stderr, "loadgen: %d/%d requests failed\n", total.errors, total.requests)
 		os.Exit(1)
 	}
+}
+
+// drive runs the measured window: workers concurrent workers, paced
+// open-loop by an arrival schedule when w.qps > 0. It returns the
+// merged tally, the open-loop arrivals that found the queue full, and
+// the wall time the window took.
+func drive(client *http.Client, w *workload, workers int, duration time.Duration, seed int64) (total workerStats, dropped uint64, elapsed time.Duration) {
+	stop := time.Now().Add(duration)
+	var paced sync.WaitGroup
+	if w.qps > 0 {
+		// One queued arrival per worker: a deeper queue would only
+		// lengthen a backlog that the dropped count already reports.
+		gate := make(chan time.Time, workers)
+		w.gate = gate
+		paced.Add(1)
+		go func() {
+			defer paced.Done()
+			dropped = pace(gate, w.qps, stop)
+		}()
+	}
+
+	stats := make([]workerStats, workers)
+	var wg sync.WaitGroup
+	t0 := time.Now()
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			runWorker(client, w, &stats[i], rand.New(rand.NewSource(seed+int64(i))), stop, i)
+		}(i)
+	}
+	wg.Wait()
+	elapsed = time.Since(t0)
+	paced.Wait()
+	return mergeStats(stats), dropped, elapsed
+}
+
+// pace offers one arrival to gate every 1/qps seconds until stop, each
+// carrying the time it was due. The schedule is fixed in advance, so a
+// late wake-up catches up rather than thinning the rate. An arrival
+// that finds gate full is counted and returned as dropped.
+func pace(gate chan<- time.Time, qps float64, stop time.Time) (dropped uint64) {
+	interval := time.Duration(float64(time.Second) / qps)
+	for due := time.Now().Add(interval); due.Before(stop); due = due.Add(interval) {
+		time.Sleep(time.Until(due))
+		select {
+		case gate <- due:
+		default:
+			dropped++
+		}
+	}
+	return dropped
 }
 
 // mergeStats folds the per-worker tallies into one. Counts and
@@ -251,8 +284,9 @@ func warmKeys(client *http.Client, w *workload) error {
 	return nil
 }
 
-// runWorker issues requests until the deadline: draw a key, pick the
-// next target round-robin, measure, tally.
+// runWorker issues requests until the deadline: take the next arrival
+// (open loop) or go at once (closed loop), draw a key, pick the next
+// target round-robin, time from the arrival's due time, tally.
 func runWorker(client *http.Client, w *workload, s *workerStats, rng *rand.Rand, stop time.Time, offset int) {
 	s.sources = map[string]uint64{}
 	s.codes = map[int]uint64{}
@@ -261,9 +295,10 @@ func runWorker(client *http.Client, w *workload, s *workerStats, rng *rand.Rand,
 		zipf = rand.NewZipf(rng, w.skew, 1, uint64(len(w.urls)-1))
 	}
 	for n := offset; time.Now().Before(stop); n++ {
+		due := time.Now()
 		if w.gate != nil {
 			select {
-			case <-w.gate:
+			case due = <-w.gate:
 			case <-time.After(time.Until(stop)):
 				return
 			}
@@ -276,9 +311,8 @@ func runWorker(client *http.Client, w *workload, s *workerStats, rng *rand.Rand,
 		}
 		target := w.targets[n%len(w.targets)]
 
-		t0 := time.Now()
 		resp, err := client.Get(target + w.urls[key])
-		lat := time.Since(t0)
+		lat := time.Since(due)
 		s.requests++
 		if err != nil {
 			s.errors++

@@ -136,3 +136,30 @@ func TestErrorAccountingContract(t *testing.T) {
 		t.Fatalf("failed requests attributed to a serving tier: %v", s2.sources)
 	}
 }
+
+// TestOpenLoopTimesFromDueTime drives one worker at a rate the server
+// cannot keep up with. Each request takes `service`, and arrivals come
+// every 5 ms, so the one queued arrival waits for the request ahead of
+// it: timed from its due time its latency is about twice the service
+// time, where timing from send would read about one. The arrivals that
+// find the queue full must be counted, not discarded.
+func TestOpenLoopTimesFromDueTime(t *testing.T) {
+	const service = 40 * time.Millisecond
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		time.Sleep(service)
+		w.WriteHeader(http.StatusOK)
+	}))
+	defer ts.Close()
+
+	w := &workload{targets: []string{ts.URL}, urls: []string{"/api/run?bench=nw"}, qps: 200}
+	total, dropped, _ := drive(ts.Client(), w, 1, 600*time.Millisecond, 1)
+	if total.requests < 3 || total.errors != 0 {
+		t.Fatalf("requests/errors = %d/%d", total.requests, total.errors)
+	}
+	if dropped == 0 {
+		t.Fatalf("%d requests at 200/s against a %v server dropped no arrival", total.requests, service)
+	}
+	if mean := time.Duration(total.lat.Mean()) * time.Microsecond; mean < service*3/2 {
+		t.Fatalf("mean latency %v with a %v server: queueing wait not counted", mean, service)
+	}
+}

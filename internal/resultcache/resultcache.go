@@ -33,6 +33,7 @@ import (
 	"crypto/sha256"
 	"encoding/gob"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -75,24 +76,34 @@ func EncodeEnvelope(key string, res *sim.Result) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
+// ErrBadEnvelope is wrapped by every error DecodeEnvelope (and so
+// PutRaw) returns for bytes that are not a valid envelope for the key.
+var ErrBadEnvelope = errors.New("resultcache: bad envelope")
+
 // DecodeEnvelope validates and opens a raw envelope: the schema must
 // match, the embedded canonical key must equal key (so a digest
 // collision, a hand-copied file, or a peer answering the wrong
 // question can never serve the wrong result), and the result must be
-// present. The returned Result is a fresh decode owned by the caller.
+// present. Bytes after the envelope are rejected too: PutRaw stores
+// and GetRaw serves raw verbatim. Any rejection wraps ErrBadEnvelope.
+// The returned Result is a fresh decode owned by the caller.
 func DecodeEnvelope(raw []byte, key string) (*sim.Result, error) {
 	var e entry
-	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&e); err != nil {
-		return nil, fmt.Errorf("resultcache: decode: %w", err)
+	r := bytes.NewReader(raw)
+	if err := gob.NewDecoder(r).Decode(&e); err != nil {
+		return nil, fmt.Errorf("%w: decode: %v", ErrBadEnvelope, err)
+	}
+	if r.Len() != 0 {
+		return nil, fmt.Errorf("%w: %d bytes after the envelope", ErrBadEnvelope, r.Len())
 	}
 	if e.Schema != Schema {
-		return nil, fmt.Errorf("resultcache: schema %q, want %q", e.Schema, Schema)
+		return nil, fmt.Errorf("%w: schema %q, want %q", ErrBadEnvelope, e.Schema, Schema)
 	}
 	if e.Key != key {
-		return nil, fmt.Errorf("resultcache: envelope key mismatch")
+		return nil, fmt.Errorf("%w: key mismatch", ErrBadEnvelope)
 	}
 	if e.Result == nil {
-		return nil, fmt.Errorf("resultcache: envelope holds no result")
+		return nil, fmt.Errorf("%w: no result", ErrBadEnvelope)
 	}
 	return e.Result, nil
 }

@@ -1,6 +1,7 @@
 package resultcache
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -10,7 +11,7 @@ import (
 	"gpusecmem/internal/sim"
 )
 
-func simulate(t *testing.T, cycles uint64) *sim.Result {
+func simulate(t testing.TB, cycles uint64) *sim.Result {
 	t.Helper()
 	cfg := sim.SecureMem()
 	cfg.MaxCycles = cycles
@@ -293,6 +294,9 @@ func TestEncodeDecodeEnvelope(t *testing.T) {
 	}
 	if _, err := DecodeEnvelope([]byte("garbage"), key); err == nil {
 		t.Fatal("DecodeEnvelope accepted garbage")
+	}
+	if _, err := DecodeEnvelope(append(bytes.Clone(raw), 0), key); err == nil {
+		t.Fatal("DecodeEnvelope accepted bytes after the envelope")
 	}
 }
 

@@ -108,6 +108,10 @@ type partition struct {
 	// rsPool recycles retired readStates; reads are the per-L2-miss
 	// hot-path allocation.
 	rsPool []*readState
+	// wake is dispatch's partition-owned copy of the reads a metadata
+	// fill releases, so wakeWaiters never holds or appends to a
+	// cache's scratch.
+	wake []uint64
 
 	metaStats [numMeta]MetaStats
 
@@ -850,7 +854,8 @@ func (p *partition) dispatch(d dest, now uint64) {
 		// on the same line each pay their own fetch — the software path
 		// has no MSHRs to merge them.
 		p.lastKeyLine = d.addr
-		p.wakeWaiters(nil, d, now)
+		p.wake = p.wake[:0]
+		p.wakeWaiters(d, now)
 	default: // destCtrFill, destMACFill, destTreeFill
 		// A flipped stored MAC always miscompares against the
 		// recomputed one, and a flipped tree node fails its parent's
@@ -875,10 +880,16 @@ func (p *partition) dispatch(d dest, now uint64) {
 			p.recordMetaSpan(pr, d, kind, now)
 		}
 		fill := c.Fill(d.addr, d.bypass, d.write)
+		// fill.Tokens is cache scratch, valid only until the next
+		// Access on c, and the writeback's parent update reaches c
+		// itself when the metadata cache is unified: copy the tokens
+		// out first. The writeback still goes first, which keeps the
+		// DRAM enqueue order (woken EncScattered reads issue shares).
+		p.wake = append(p.wake[:0], fill.Tokens...)
 		if fill.Writeback != nil {
 			p.handleMetaWriteback(fill.Writeback, now)
 		}
-		p.wakeWaiters(fill.Tokens, d, now) // tree lines have none
+		p.wakeWaiters(d, now) // tree lines have none
 		if sc.Tree {
 			// Authenticate the line: continue the verification walk
 			// from its parent.
@@ -888,14 +899,15 @@ func (p *partition) dispatch(d dest, now uint64) {
 }
 
 // wakeWaiters releases the reads waiting on a metadata line that just
-// arrived: the MSHR's merged tokens plus the fetch's own read (a
-// bypassing or key fetch). A MAC line completes the reads' MAC gate;
-// any other line (counter, share map, page key) their counter gate.
-func (p *partition) wakeWaiters(tokens []uint64, d dest, now uint64) {
+// arrived: the MSHR's merged tokens, which dispatch has copied into
+// p.wake, plus the fetch's own read (a bypassing or key fetch). A MAC
+// line completes the reads' MAC gate; any other line (counter, share
+// map, page key) their counter gate.
+func (p *partition) wakeWaiters(d dest, now uint64) {
 	if d.readID != 0 {
-		tokens = append(tokens, d.readID)
+		p.wake = append(p.wake, d.readID)
 	}
-	for _, tok := range tokens {
+	for _, tok := range p.wake {
 		if tok == 0 {
 			continue // a write or walk access: no waiting read
 		}
